@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -165,7 +166,7 @@ struct DeviceCluster::Request {
   std::shared_ptr<ClusterTicket::State> ticket;
   Clock::time_point submitted{};
   Clock::time_point deadline = kNoDeadline;
-  Clock::time_point not_before{};  ///< backoff: dispatch no earlier
+  Clock::time_point not_before{};  ///< backoff: route no earlier
   int priority = 0;
   unsigned retries = 0;
   std::uint64_t admit_seq = 0;   ///< admission order (shed-oldest key)
@@ -173,25 +174,18 @@ struct DeviceCluster::Request {
 };
 
 /// One plan pre-instantiated on one device: buffers, the canonical binding
-/// recipe, and replay_depth capture slots (each slot owns its GraphExec and
-/// the stable host storage its copy-out was frozen against).
+/// recipe, and the captured pipeline with the stable host storage its
+/// copy-out was frozen against. Only the device's worker replays it, one
+/// request at a time.
 struct DeviceCluster::PlanEntry {
-  struct Slot {
-    rt::GraphExec exec;
-    std::vector<std::uint32_t> host_out;  ///< frozen copy-out destination
-    rt::Event event;                      ///< in-flight replay
-    Request req;                          ///< request the replay serves
-    bool busy = false;
-  };
-
+  rt::GraphExec exec;
+  std::vector<std::uint32_t> host_out;  ///< frozen copy-out destination
   std::uint32_t in_words = 0;
   std::uint32_t out_words = 0;
   /// The capture-time binding; per-request rebinds clone it and patch the
   /// overridden Scalar positions (KernelArgs itself is immutable).
   std::vector<rt::KernelArgs::Value> recipe;
   double est_us = 1.0;  ///< modeled cost of one replay (routing weight)
-  std::vector<Slot> slots;
-  std::size_t next_slot = 0;
   /// Probation canary: a deterministic payload and the golden output it
   /// produced at registration (fault injection disarmed). Re-admission
   /// requires the probe replay to reproduce it bit-exact.
@@ -211,23 +205,25 @@ struct DeviceCluster::DeviceState {
   rt::Device dev;
   std::thread worker;
   std::condition_variable cv;  ///< paired with DeviceCluster::mu_
-  std::deque<Request> queue;   ///< routed, not yet issued
+  /// The one routed request waiting behind the running one: route_locked()
+  /// fills it, the worker takes it. Still counted in queued_.
+  std::optional<Request> staged;
   DeviceHealth health = DeviceHealth::Healthy;
   unsigned consecutive_faults = 0;  ///< transients since the last success
   Clock::time_point quarantined_at{};
   bool probe_pending = false;  ///< watchdog asked the worker to probe
-  std::uint64_t inflight = 0;  ///< busy replay slots
-  double outstanding_us = 0.0; ///< modeled work routed but not completed
+  double outstanding_us = 0.0; ///< modeled work staged or running
   double busy_us = 0.0;        ///< modeled time spent on completed replays
-  /// Watchdog's view of in-flight work: (ticket, deadline) per busy slot,
-  /// maintained under mu_ (the slots themselves are worker-thread state).
-  struct Inflight {
+  /// Watchdog's view of the replay the worker is running, set under mu_
+  /// before the replay starts and cleared after it ends. The watchdog
+  /// disarms `deadline` once it has failed the ticket.
+  struct Running {
     std::shared_ptr<ClusterTicket::State> ticket;
     Clock::time_point deadline = kNoDeadline;
     Clock::time_point submitted{};
     unsigned retries = 0;
   };
-  std::deque<Inflight> inflight_reqs;
+  std::optional<Running> running;
   std::unordered_map<std::string, PlanEntry> plans;
   /// Lazily created per-tenant streams (worker thread only); raw pointers
   /// into the device's stream table, which lives as long as the device.
@@ -281,9 +277,6 @@ DeviceCluster::DeviceCluster(std::vector<rt::DeviceDescriptor> descs,
   if (descs.empty()) {
     throw Error("DeviceCluster needs at least one device");
   }
-  if (cfg_.replay_depth == 0) {
-    cfg_.replay_depth = 1;
-  }
   if (!cfg_.fault_spec.empty()) {
     // Attach a per-device injector to every descriptor that does not
     // already carry one: same plan, device-decorrelated seed streams.
@@ -300,7 +293,6 @@ DeviceCluster::DeviceCluster(std::vector<rt::DeviceDescriptor> descs,
     devices_.push_back(std::make_unique<DeviceState>(std::move(d)));
   }
   stats_.per_device_completed.assign(devices_.size(), 0);
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
   watchdog_ = std::thread([this] { watchdog_loop(); });
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     devices_[i]->worker = std::thread([this, i] { worker_loop(i); });
@@ -312,14 +304,10 @@ DeviceCluster::~DeviceCluster() {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
-  admit_cv_.notify_all();
   space_cv_.notify_all();
   watch_cv_.notify_all();
   for (auto& d : devices_) {
     d->cv.notify_all();
-  }
-  if (dispatcher_.joinable()) {
-    dispatcher_.join();
   }
   if (watchdog_.joinable()) {
     watchdog_.join();
@@ -329,14 +317,15 @@ DeviceCluster::~DeviceCluster() {
       d->worker.join();
     }
   }
-  // Whatever is still queued after the workers drained their in-flight
+  // Whatever is still waiting after the workers finished their running
   // replays resolves Failed -- a ticket must never dangle.
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& d : devices_) {
-    for (auto& req : d->queue) {
-      finish_locked(req, RequestStatus::Failed, {}, "cluster shut down", -1);
+    if (d->staged) {
+      finish_locked(*d->staged, RequestStatus::Failed, {}, "cluster shut down",
+                    -1);
+      d->staged.reset();
     }
-    d->queue.clear();
   }
   for (auto& [tenant, q] : tenants_) {
     for (auto& req : q) {
@@ -393,7 +382,6 @@ void DeviceCluster::register_plan(const PlanSpec& spec) {
       }
     }
     PlanEntry entry;
-    entry.slots.resize(cfg_.replay_depth);
     entry.verify = spec.verify;
 
     // Load + bind on this device. The module cache absorbs duplicate
@@ -430,39 +418,35 @@ void DeviceCluster::register_plan(const PlanSpec& spec) {
     }
     entry.recipe = canonical.values();
 
-    // Capture the request pipeline once per slot as a two-lane DAG on the
-    // device's default stream plus a dedicated staging stream (workers
-    // only ever touch their per-tenant streams, so capture cannot
-    // interleave with traffic): the stage lane copies the request in and
-    // the primary lane launches off it, so every replay is ONE DAG submit
-    // whose copy-in is priced on its own modeled DMA channel (see
-    // docs/serving.md). Each slot's copy-out freezes that slot's own
-    // host_out storage.
+    // Capture the request pipeline as a two-lane DAG on the device's
+    // default stream plus a dedicated staging stream (workers only ever
+    // touch their per-tenant streams, so capture cannot interleave with
+    // traffic): the stage lane copies the request in and the primary lane
+    // launches off it, so every replay is ONE DAG submit whose copy-in is
+    // priced on its own modeled DMA channel (see docs/serving.md). The
+    // copy-out freezes the entry's host_out storage.
     const std::vector<std::uint32_t> placeholder(entry.in_words, 0);
     auto& capture_stream = d.dev.stream();
     if (d.stage_stream == nullptr) {
       d.stage_stream = &d.dev.create_stream();
     }
-    for (auto& slot : entry.slots) {
-      slot.host_out.assign(entry.out_words, 0);
-      rt::Graph graph;
-      capture_stream.begin_capture(graph);
-      d.stage_stream->begin_capture(graph);  // joins as the stage lane
-      d.stage_stream->copy_in(in_buf,
-                              std::span<const std::uint32_t>(placeholder));
-      rt::Event staged = d.stage_stream->record();
-      capture_stream.wait(staged);  // DAG edge: launch waits on the stage
-      capture_stream.launch(kernel, spec.threads, canonical);
-      capture_stream.copy_out(out_buf, std::span<std::uint32_t>(slot.host_out));
-      d.stage_stream->end_capture();
-      capture_stream.end_capture();
-      slot.exec = graph.instantiate();
-    }
+    entry.host_out.assign(entry.out_words, 0);
+    rt::Graph graph;
+    capture_stream.begin_capture(graph);
+    d.stage_stream->begin_capture(graph);  // joins as the stage lane
+    d.stage_stream->copy_in(in_buf,
+                            std::span<const std::uint32_t>(placeholder));
+    rt::Event staged = d.stage_stream->record();
+    capture_stream.wait(staged);  // DAG edge: launch waits on the stage
+    capture_stream.launch(kernel, spec.threads, canonical);
+    capture_stream.copy_out(out_buf, std::span<std::uint32_t>(entry.host_out));
+    d.stage_stream->end_capture();
+    capture_stream.end_capture();
+    entry.exec = graph.instantiate();
 
     // Warmup replay: primes the resident image (a prologue kernel never
     // touches I-MEM again) and measures the routing cost estimate.
-    auto warm = entry.slots[0].exec.launch(capture_stream);
-    warm.wait();
+    const auto warm = entry.exec.run(capture_stream);
     const auto& stats = warm.stats();
     entry.est_us = std::max(
         stats.overlap_wall_us > 0.0 ? stats.overlap_wall_us : stats.wall_us,
@@ -477,10 +461,8 @@ void DeviceCluster::register_plan(const PlanSpec& spec) {
     }
     rt::GraphUpdates canary_updates;
     canary_updates.copy_in(0, entry.canary_in);
-    auto canary =
-        entry.slots[0].exec.launch(capture_stream, std::move(canary_updates));
-    canary.wait();
-    entry.canary_golden = entry.slots[0].host_out;
+    entry.exec.run(capture_stream, std::move(canary_updates)).wait();
+    entry.canary_golden = entry.host_out;
 
     std::lock_guard<std::mutex> lock(mu_);
     d.plans[spec.name] = std::move(entry);
@@ -584,11 +566,11 @@ ClusterTicket DeviceCluster::submit(std::string_view tenant,
   ++stats_.accepted;
   ++in_system_;
   req.admit_seq = admit_seq_++;
-  const bool has_deadline = req.deadline != kNoDeadline;
+  const auto deadline = req.deadline;
   enqueue_locked(std::move(req), /*front=*/false);
-  admit_cv_.notify_one();
-  if (has_deadline) {
-    watch_cv_.notify_all();  // the watchdog re-times against the new work
+  route_locked();
+  if (deadline != kNoDeadline) {
+    arm_watchdog_locked(deadline);
   }
   return ticket;
 }
@@ -609,7 +591,6 @@ void DeviceCluster::unplug(std::size_t i) {
     }
     retire_device_locked(i, /*fault=*/false);
   }
-  admit_cv_.notify_all();
   space_cv_.notify_all();
   devices_[i]->cv.notify_all();
 }
@@ -664,11 +645,9 @@ void DeviceCluster::pause() {
 }
 
 void DeviceCluster::resume() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    paused_ = false;
-  }
-  admit_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  paused_ = false;
+  route_locked();
 }
 
 ClusterStats DeviceCluster::stats() const {
@@ -721,9 +700,11 @@ void DeviceCluster::enqueue_locked(Request req, bool front) {
 }
 
 void DeviceCluster::shed_oldest_locked() {
-  // The oldest queued request is the earliest admit_seq among the tenant
-  // queue fronts (each per-tenant FIFO is age-ordered).
+  // The oldest waiting request is the earliest admit_seq among the tenant
+  // queue fronts (each per-tenant FIFO is age-ordered) and the requests
+  // staged on devices.
   const std::string* victim_tenant = nullptr;
+  DeviceState* victim_device = nullptr;
   std::uint64_t oldest = ~0ull;
   for (const auto& tenant : tenant_ring_) {
     const auto& q = tenants_[tenant];
@@ -732,17 +713,29 @@ void DeviceCluster::shed_oldest_locked() {
       victim_tenant = &tenant;
     }
   }
-  if (!victim_tenant) {
+  for (auto& d : devices_) {
+    if (d->staged && d->staged->admit_seq < oldest) {
+      oldest = d->staged->admit_seq;
+      victim_device = d.get();
+    }
+  }
+  Request victim;
+  if (victim_device != nullptr) {
+    victim = std::move(*victim_device->staged);
+    victim_device->staged.reset();
+    victim_device->outstanding_us -= victim.routed_est;
+  } else if (victim_tenant != nullptr) {
+    auto& q = tenants_[*victim_tenant];
+    victim = std::move(q.front());
+    q.pop_front();
+    if (q.empty()) {
+      tenant_ring_.erase(std::find(tenant_ring_.begin(), tenant_ring_.end(),
+                                   *victim_tenant));
+    }
+  } else {
     return;
   }
-  auto& q = tenants_[*victim_tenant];
-  Request victim = std::move(q.front());
-  q.pop_front();
   --queued_;
-  if (q.empty()) {
-    tenant_ring_.erase(
-        std::find(tenant_ring_.begin(), tenant_ring_.end(), *victim_tenant));
-  }
   ++stats_.shed;
   finish_locked(victim, RequestStatus::Shed, {}, "shed by a newer request",
                 -1);
@@ -870,93 +863,56 @@ void DeviceCluster::retire_device_locked(std::size_t device, bool fault) {
   if (fault) {
     ++stats_.quarantined;
     d.quarantined_at = Clock::now();
-    watch_cv_.notify_all();  // start the probation timer
+    if (cfg_.probation_delay_us > 0) {
+      arm_watchdog_locked(d.quarantined_at + std::chrono::microseconds(
+                                                 cfg_.probation_delay_us));
+    }
   }
-  // Fail queued-but-unissued work over to the survivors: back to the front
-  // of the admission queue (oldest last, so order is preserved), above the
-  // capacity bound -- accepted work is never shed by its own fail-over.
-  while (!d.queue.empty()) {
-    Request req = std::move(d.queue.back());
-    d.queue.pop_back();
+  // Fail the staged request over to the survivors: back to the front of
+  // the admission queue -- accepted work is never shed by its own
+  // fail-over -- and straight back out through routing.
+  if (d.staged) {
+    Request req = std::move(*d.staged);
+    d.staged.reset();
+    --queued_;  // enqueue_locked counts it again
     d.outstanding_us -= req.routed_est;
     req.routed_est = 0.0;
     enqueue_locked(std::move(req), /*front=*/true);
   }
-  admit_cv_.notify_all();
+  route_locked();
 }
 
-// ---- dispatcher -------------------------------------------------------------
+void DeviceCluster::arm_watchdog_locked(Clock::time_point t) {
+  if (t < watch_until_) {
+    watch_until_ = t;
+    watch_cv_.notify_one();
+  }
+}
 
-void DeviceCluster::dispatcher_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    const auto runnable = [&] {
-      return stopping_ || (!paused_ && queued_ > 0);
-    };
-    if (delayed_.empty()) {
-      // A retry parked into delayed_ must break this wait even though the
-      // admission queue is empty -- the next pass takes the timed branch.
-      admit_cv_.wait(lock, [&] { return runnable() || !delayed_.empty(); });
-    } else {
-      // Sleep only until the earliest backoff expires; a timeout is the
-      // signal to move due retries back into the admission queue. A new
-      // parked retry may carry an earlier deadline, so wake on growth too.
-      auto due = kNoDeadline;
-      for (const auto& r : delayed_) {
-        due = std::min(due, r.not_before);
-      }
-      const std::size_t parked = delayed_.size();
-      admit_cv_.wait_until(lock, due, [&] {
-        return runnable() || delayed_.size() != parked;
-      });
-    }
-    if (stopping_) {
-      return;
-    }
-    if (!delayed_.empty()) {
-      const auto now = Clock::now();
-      for (auto it = delayed_.begin(); it != delayed_.end();) {
-        if (it->not_before <= now) {
-          // A retry re-enters at the front, above the capacity bound.
-          enqueue_locked(std::move(*it), /*front=*/true);
-          it = delayed_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (paused_ || queued_ == 0) {
-      continue;
-    }
+// ---- routing (mu_ held) -----------------------------------------------------
 
-    // Round-robin across tenants with queued work: take the front tenant's
-    // oldest request, rotate the tenant to the back.
-    if (tenant_ring_.empty()) {
-      continue;  // stale wakeup
-    }
-    const std::string tenant = std::move(tenant_ring_.front());
-    tenant_ring_.pop_front();
-    auto& q = tenants_[tenant];
-    if (q.empty()) {
-      continue;
-    }
-    Request req = std::move(q.front());
-    q.pop_front();
-    --queued_;
-    if (!q.empty()) {
-      tenant_ring_.push_back(tenant);
-    }
-    space_cv_.notify_one();
+void DeviceCluster::route_locked() {
+  if (paused_ || stopping_) {
+    return;
+  }
+  // Round-robin across tenants with queued work: the front tenant's oldest
+  // request goes next, and the tenant rotates to the back.
+  while (!tenant_ring_.empty()) {
+    auto& q = tenants_[tenant_ring_.front()];
+    Request& req = q.front();  // the ring only holds tenants with work
 
-    // Route to the routable device with the least outstanding modeled work
-    // including this request's own cost there (devices with cheaper
+    // Route to the routable device with the least outstanding modeled
+    // work including this request's own cost there (devices with cheaper
     // backends bid lower and absorb proportionally more traffic). A
     // degraded device bids double: still in rotation, but traffic leans
-    // toward clean peers while it proves itself.
-    int best = -1;
+    // toward clean peers while it proves itself. A device that already
+    // holds a staged request is full and sits this one out.
+    DeviceState* best = nullptr;
+    double best_est = 0.0;
     double best_score = 0.0;
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-      auto& d = *devices_[i];
+    bool any_full = false;
+    for (auto& dp : devices_) {
+      auto& d = *dp;
       if (!routable(d.health)) {
         continue;
       }
@@ -964,22 +920,42 @@ void DeviceCluster::dispatcher_loop() {
       if (plan == d.plans.end()) {
         continue;
       }
+      if (d.staged) {
+        any_full = true;
+        continue;
+      }
       const double penalty = d.health == DeviceHealth::Degraded ? 2.0 : 1.0;
       const double score = d.outstanding_us + plan->second.est_us * penalty;
-      if (best < 0 || score < best_score) {
-        best = static_cast<int>(i);
+      if (best == nullptr || score < best_score) {
+        best = &d;
+        best_est = plan->second.est_us;
         best_score = score;
       }
     }
-    if (best < 0) {
-      finish_locked(req, RequestStatus::Failed, {}, "no alive devices", -1);
+    if (best == nullptr && any_full) {
+      // Every device that could serve it is full: the rest wait here, in
+      // the bounded, fair admission queues, until a worker takes its
+      // staged request.
+      return;
+    }
+
+    Request next = std::move(req);
+    q.pop_front();
+    std::string tenant = std::move(tenant_ring_.front());
+    tenant_ring_.pop_front();
+    if (!q.empty()) {
+      tenant_ring_.push_back(std::move(tenant));
+    }
+    if (best == nullptr) {
+      --queued_;
+      finish_locked(next, RequestStatus::Failed, {}, "no alive devices", -1);
+      space_cv_.notify_one();
       continue;
     }
-    auto& d = *devices_[static_cast<std::size_t>(best)];
-    req.routed_est = d.plans.find(req.plan)->second.est_us;
-    d.outstanding_us += req.routed_est;
-    d.queue.push_back(std::move(req));
-    d.cv.notify_one();
+    next.routed_est = best_est;
+    best->outstanding_us += best_est;
+    best->staged = std::move(next);
+    best->cv.notify_one();
   }
 }
 
@@ -989,9 +965,9 @@ void DeviceCluster::watchdog_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stopping_) {
     // Next timed event: the earliest request deadline anywhere in the
-    // system, or the earliest probation due-time. (In-flight entries whose
-    // tickets the watchdog already failed were removed from
-    // inflight_reqs, so they cannot re-trigger.)
+    // system, the earliest backoff expiry, or the earliest probation
+    // due-time. (A running replay whose ticket the watchdog already failed
+    // has its deadline disarmed, so it cannot re-trigger.)
     auto next = kNoDeadline;
     for (const auto& [tenant, q] : tenants_) {
       for (const auto& r : q) {
@@ -999,22 +975,25 @@ void DeviceCluster::watchdog_loop() {
       }
     }
     for (const auto& r : delayed_) {
-      next = std::min(next, r.deadline);
+      next = std::min({next, r.deadline, r.not_before});
     }
     for (const auto& d : devices_) {
-      for (const auto& r : d->queue) {
-        next = std::min(next, r.deadline);
+      if (d->staged) {
+        next = std::min(next, d->staged->deadline);
       }
-      for (const auto& info : d->inflight_reqs) {
-        next = std::min(next, info.deadline);
+      if (d->running) {
+        next = std::min(next, d->running->deadline);
       }
       if (cfg_.probation_delay_us > 0 &&
-          d->health == DeviceHealth::Quarantined && d->inflight == 0) {
+          d->health == DeviceHealth::Quarantined) {
         next = std::min(
             next, d->quarantined_at +
                       std::chrono::microseconds(cfg_.probation_delay_us));
       }
     }
+    // Publish the wake time: arm_watchdog_locked() notifies only for an
+    // earlier one.
+    watch_until_ = next;
     if (next == kNoDeadline) {
       watch_cv_.wait(lock);  // until new timed work (or shutdown) arrives
     } else {
@@ -1025,8 +1004,8 @@ void DeviceCluster::watchdog_loop() {
     }
     const auto now = Clock::now();
 
-    // Expire overdue queued work (admission queues, backoff lot, device
-    // queues): remove and fail with the named error.
+    // Expire overdue waiting work (admission queues, backoff lot, staged
+    // requests): remove and fail with the named error.
     const char* overdue = "DeadlineExceeded: request deadline elapsed";
     bool freed = false;
     for (auto rit = tenant_ring_.begin(); rit != tenant_ring_.end();) {
@@ -1044,10 +1023,15 @@ void DeviceCluster::watchdog_loop() {
       }
       rit = q.empty() ? tenant_ring_.erase(rit) : rit + 1;
     }
+    // Backoff expiry: due retries re-enter at the front of the admission
+    // queue, above the capacity bound.
     for (auto it = delayed_.begin(); it != delayed_.end();) {
       if (it->deadline <= now) {
         ++stats_.deadline_failures;
         finish_locked(*it, RequestStatus::Failed, {}, overdue, -1);
+        it = delayed_.erase(it);
+      } else if (it->not_before <= now) {
+        enqueue_locked(std::move(*it), /*front=*/true);
         it = delayed_.erase(it);
       } else {
         ++it;
@@ -1055,44 +1039,38 @@ void DeviceCluster::watchdog_loop() {
     }
     for (std::size_t i = 0; i < devices_.size(); ++i) {
       auto& d = *devices_[i];
-      for (auto it = d.queue.begin(); it != d.queue.end();) {
-        if (it->deadline <= now) {
-          d.outstanding_us -= it->routed_est;
-          ++stats_.deadline_failures;
-          finish_locked(*it, RequestStatus::Failed, {}, overdue,
-                        static_cast<int>(i));
-          it = d.queue.erase(it);
-        } else {
-          ++it;
-        }
+      if (d.staged && d.staged->deadline <= now) {
+        d.outstanding_us -= d.staged->routed_est;
+        ++stats_.deadline_failures;
+        finish_locked(*d.staged, RequestStatus::Failed, {}, overdue,
+                      static_cast<int>(i));
+        d.staged.reset();
+        --queued_;
+        freed = true;
       }
-      // Overdue in-flight work: the replay cannot be cancelled (it may be
-      // stalled inside the executor), but its ticket resolves NOW -- that
-      // is the no-hang guarantee. The worker discards the eventual result
+      // An overdue running replay cannot be cancelled (it may be stalled
+      // mid-simulation), but its ticket resolves NOW -- that is the
+      // no-hang guarantee. The worker discards the eventual result
       // (finish_ticket_locked is first-writer-wins) and the device is
       // flagged Degraded for taking too long.
-      for (auto it = d.inflight_reqs.begin(); it != d.inflight_reqs.end();) {
-        if (it->deadline <= now) {
-          if (finish_ticket_locked(
-                  it->ticket, RequestStatus::Failed, {},
-                  "DeadlineExceeded: in flight past the request deadline "
-                  "(hung or stalled replay)",
-                  static_cast<int>(i), it->submitted, it->retries,
-                  /*accepted=*/true)) {
-            ++stats_.deadline_failures;
-            if (d.health == DeviceHealth::Healthy) {
-              d.health = DeviceHealth::Degraded;
-            }
+      if (d.running && d.running->deadline <= now) {
+        if (finish_ticket_locked(
+                d.running->ticket, RequestStatus::Failed, {},
+                "DeadlineExceeded: in flight past the request deadline "
+                "(hung or stalled replay)",
+                static_cast<int>(i), d.running->submitted,
+                d.running->retries, /*accepted=*/true)) {
+          ++stats_.deadline_failures;
+          if (d.health == DeviceHealth::Healthy) {
+            d.health = DeviceHealth::Degraded;
           }
-          it = d.inflight_reqs.erase(it);
-        } else {
-          ++it;
         }
+        d.running->deadline = kNoDeadline;
       }
-      // Probation: a quarantined device that rested out its delay (and
-      // has no straggling in-flight replay) gets one canary probe.
+      // Probation: a quarantined device that rested out its delay gets
+      // one canary probe.
       if (cfg_.probation_delay_us > 0 &&
-          d.health == DeviceHealth::Quarantined && d.inflight == 0 &&
+          d.health == DeviceHealth::Quarantined &&
           d.quarantined_at +
                   std::chrono::microseconds(cfg_.probation_delay_us) <=
               now) {
@@ -1102,6 +1080,7 @@ void DeviceCluster::watchdog_loop() {
         d.cv.notify_all();
       }
     }
+    route_locked();
     if (freed) {
       space_cv_.notify_all();
     }
@@ -1115,78 +1094,45 @@ void DeviceCluster::worker_loop(std::size_t device) {
   while (true) {
     std::unique_lock<std::mutex> lock(mu_);
     d.cv.wait(lock, [&] {
-      return stopping_ || d.probe_pending || d.inflight > 0 ||
-             (routable(d.health) && !d.queue.empty());
+      return stopping_ || d.probe_pending || d.staged.has_value();
     });
-
-    if (d.probe_pending && !stopping_) {
+    if (stopping_) {
+      return;
+    }
+    if (d.probe_pending) {
       d.probe_pending = false;
       lock.unlock();
       probe_device(device);
       continue;
     }
 
-    if (routable(d.health) && !d.queue.empty() && !stopping_) {
-      Request req = std::move(d.queue.front());
-      d.queue.pop_front();
-      lock.unlock();
-      issue(device, std::move(req));
-      continue;
-    }
-
-    if (d.inflight > 0) {
-      // Nothing to issue (or shutting down): resolve the oldest in-flight
-      // replay so its ticket does not wait for more traffic.
-      PlanEntry* entry = nullptr;
-      std::size_t slot = 0;
-      std::uint64_t oldest = ~0ull;
-      for (auto& [name, e] : d.plans) {
-        for (std::size_t s = 0; s < e.slots.size(); ++s) {
-          if (e.slots[s].busy && e.slots[s].req.admit_seq <= oldest) {
-            oldest = e.slots[s].req.admit_seq;
-            entry = &e;
-            slot = s;
-          }
-        }
-      }
-      lock.unlock();
-      if (entry) {
-        complete_slot(device, *entry, slot);
-      }
-      continue;
-    }
-
-    if (stopping_) {
-      return;
-    }
-    // Unroutable with an empty local queue: the queued work already failed
-    // over; sleep until a probe, a straggler completion, or shutdown.
-  }
-}
-
-void DeviceCluster::issue(std::size_t device, Request req) {
-  auto& d = *devices_[device];
-  PlanEntry* entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    entry = &d.plans.find(req.plan)->second;
+    Request req = std::move(*d.staged);
+    d.staged.reset();
+    --queued_;  // started: no longer counts against queue_capacity
+    space_cv_.notify_one();
+    route_locked();  // stage the next request behind this one
+    PlanEntry& entry = d.plans.find(req.plan)->second;
     // Don't spend device time on a request that is already overdue (the
-    // watchdog may not have swept it out of the device queue yet).
+    // watchdog may not have swept it yet).
     if (req.deadline != kNoDeadline && req.deadline <= Clock::now()) {
       d.outstanding_us -= req.routed_est;
       ++stats_.deadline_failures;
       finish_locked(req, RequestStatus::Failed, {},
                     "DeadlineExceeded: request deadline elapsed",
                     static_cast<int>(device));
-      return;
+      continue;
     }
+    // Visible to the watchdog before the replay starts, so a replay that
+    // stalls still fails at its deadline.
+    d.running = DeviceState::Running{req.ticket, req.deadline, req.submitted,
+                                     req.retries};
+    lock.unlock();
+    issue(device, entry, std::move(req));
   }
-  auto& slot = entry->slots[entry->next_slot];
-  entry->next_slot = (entry->next_slot + 1) % entry->slots.size();
-  if (slot.busy) {
-    complete_slot(device, *entry,
-                  static_cast<std::size_t>(&slot - entry->slots.data()));
-  }
+}
+
+void DeviceCluster::issue(std::size_t device, PlanEntry& entry, Request req) {
+  auto& d = *devices_[device];
 
   // Per-tenant stream, created on first use (worker thread only).
   rt::Stream* stream;
@@ -1203,45 +1149,32 @@ void DeviceCluster::issue(std::size_t device, Request req) {
   rt::GraphUpdates updates;
   updates.copy_in(0, req.payload);
   if (!req.scalars.empty()) {
-    updates.args(0, build_args(entry->recipe, req.scalars));
+    updates.args(0, build_args(entry.recipe, req.scalars));
   }
 
-  try {
-    slot.event = slot.exec.launch(*stream, std::move(updates));
-  } catch (const Error& e) {
-    // Submission-side validation failure (should not happen for a request
-    // submit() accepted) -- resolve the ticket rather than wedge the slot.
-    std::lock_guard<std::mutex> lock(mu_);
-    d.outstanding_us -= req.routed_est;
-    finish_locked(req, RequestStatus::Failed, {}, e.what(),
-                  static_cast<int>(device));
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++d.inflight;
-    d.inflight_reqs.push_back(
-        {req.ticket, req.deadline, req.submitted, req.retries});
-    if (req.deadline != kNoDeadline) {
-      watch_cv_.notify_all();
-    }
-  }
-  slot.req = std::move(req);
-  slot.busy = true;
-}
-
-void DeviceCluster::complete_slot(std::size_t device, PlanEntry& entry,
-                                  std::size_t slot_index) {
-  auto& d = *devices_[device];
-  auto& slot = entry.slots[slot_index];
-
+  // The replay runs right here, on the worker, behind anything else queued
+  // on the device: no executor handoff on the request path.
+  rt::Event event;
   std::string fault;
   bool transient = false;
   bool corruption = false;
   double modeled_us = 0.0;
   try {
-    slot.event.wait();
-    const auto& stats = slot.event.stats();
+    event = entry.exec.run(*stream, std::move(updates));
+  } catch (const Error& e) {
+    // Submission-side validation failure (should not happen for a request
+    // submit() accepted) -- resolve the ticket, leave the device's health
+    // alone.
+    std::lock_guard<std::mutex> lock(mu_);
+    d.running.reset();
+    d.outstanding_us -= req.routed_est;
+    finish_locked(req, RequestStatus::Failed, {}, e.what(),
+                  static_cast<int>(device));
+    route_locked();
+    return;
+  }
+  try {
+    const auto& stats = event.stats();
     modeled_us =
         stats.overlap_wall_us > 0.0 ? stats.overlap_wall_us : stats.wall_us;
   } catch (const faults::TransientFault& e) {
@@ -1256,16 +1189,11 @@ void DeviceCluster::complete_slot(std::size_t device, PlanEntry& entry,
     }
   }
 
-  Request req = std::move(slot.req);
-  slot.req = Request{};
-  slot.busy = false;
-  slot.event = rt::Event{};
-
   if (fault.empty() && entry.verify) {
     // Output verification: a corrupted result is handled like a transient
     // fault -- retried elsewhere, device degraded -- plus the corruption
     // counter (the chaos bench's detection signal).
-    if (!entry.verify(req.payload, req.scalars, slot.host_out)) {
+    if (!entry.verify(req.payload, req.scalars, entry.host_out)) {
       fault = "output verification failed (corrupted result)";
       transient = true;
       corruption = true;
@@ -1273,15 +1201,9 @@ void DeviceCluster::complete_slot(std::size_t device, PlanEntry& entry,
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  --d.inflight;
+  d.running.reset();
   d.outstanding_us -= req.routed_est;
   req.routed_est = 0.0;
-  for (auto it = d.inflight_reqs.begin(); it != d.inflight_reqs.end(); ++it) {
-    if (it->ticket == req.ticket) {
-      d.inflight_reqs.erase(it);
-      break;
-    }
-  }
   if (corruption) {
     ++stats_.corruption_detected;
   }
@@ -1303,9 +1225,10 @@ void DeviceCluster::complete_slot(std::size_t device, PlanEntry& entry,
       d.health = DeviceHealth::Healthy;
     }
     if (!expired) {
-      finish_locked(req, RequestStatus::Ok, slot.host_out, "",
+      finish_locked(req, RequestStatus::Ok, entry.host_out, "",
                     static_cast<int>(device));
     }
+    route_locked();  // this device's lighter load may win the next request
     return;
   }
 
@@ -1326,6 +1249,7 @@ void DeviceCluster::complete_slot(std::size_t device, PlanEntry& entry,
   }
 
   if (expired) {
+    route_locked();
     return;
   }
   if (req.retries < cfg_.max_retries && alive_count_locked() > 0) {
@@ -1349,34 +1273,35 @@ void DeviceCluster::complete_slot(std::size_t device, PlanEntry& entry,
       req.not_before =
           Clock::now() + std::chrono::microseconds(
                              static_cast<std::int64_t>(base * jitter));
+      arm_watchdog_locked(req.not_before);  // the watchdog ends the backoff
       delayed_.push_back(std::move(req));
     } else {
       enqueue_locked(std::move(req), /*front=*/true);
     }
-    admit_cv_.notify_all();
+    route_locked();
     return;
   }
   finish_locked(req, RequestStatus::Failed, {}, fault,
                 static_cast<int>(device));
+  route_locked();
 }
 
 void DeviceCluster::probe_device(std::size_t device) {
   auto& d = *devices_[device];
   bool ok = true;
   bool mismatch = false;
-  // The probe replays each plan's canary through slot 0 on the device's
-  // default stream (no traffic is routed to a Probation device, and the
-  // watchdog only probes with zero in-flight replays, so the slot and the
-  // stream are exclusively ours). The stream may still carry the sticky
-  // error that quarantined the device -- recovery starts by clearing it.
+  // The probe replays each plan's canary on the device's default stream
+  // (no traffic is routed to a Probation device, and only this worker
+  // replays its plans, so the pipelines and the stream are exclusively
+  // ours). The stream may still carry the sticky error that quarantined
+  // the device -- recovery starts by clearing it.
   d.dev.stream().clear_error();
   try {
     for (auto& [name, entry] : d.plans) {
       rt::GraphUpdates updates;
       updates.copy_in(0, entry.canary_in);
-      auto ev = entry.slots[0].exec.launch(d.dev.stream(), std::move(updates));
-      ev.wait();
-      if (entry.slots[0].host_out != entry.canary_golden) {
+      entry.exec.run(d.dev.stream(), std::move(updates)).wait();
+      if (entry.host_out != entry.canary_golden) {
         ok = false;
         mismatch = true;
         break;
@@ -1395,7 +1320,7 @@ void DeviceCluster::probe_device(std::size_t device) {
     d.health = DeviceHealth::Healthy;
     d.consecutive_faults = 0;
     ++stats_.readmitted;
-    admit_cv_.notify_all();  // back in the routing set
+    route_locked();  // back in the routing set
   } else {
     if (mismatch) {
       ++stats_.corruption_detected;
@@ -1405,7 +1330,8 @@ void DeviceCluster::probe_device(std::size_t device) {
     d.health = DeviceHealth::Quarantined;
     ++stats_.quarantined;
     d.quarantined_at = Clock::now();
-    watch_cv_.notify_all();
+    arm_watchdog_locked(d.quarantined_at +
+                        std::chrono::microseconds(cfg_.probation_delay_us));
   }
 }
 

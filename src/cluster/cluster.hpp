@@ -5,16 +5,23 @@
 //   submit(tenant, plan, payload)
 //     -> bounded admission queue (reject / shed-oldest / block on overload,
 //        round-robin fairness across tenants)
-//     -> dispatcher routes to the alive device with the least outstanding
-//        modeled work (per-plan cost estimates measured at registration,
-//        so a scalar soft-CPU device naturally takes less traffic than a
-//        950 MHz multicore device)
-//     -> per-device worker replays the plan's pre-instantiated GraphExec
-//        on a per-tenant stream -- the per-request hot path is ONE
-//        copy-in rebind + composite replay, no re-validation, no
-//        re-assembly, and (for prologue kernels) no I-MEM touch at all
+//     -> routed, still on the submitting thread, to the alive device with
+//        the least outstanding modeled work (per-plan cost estimates
+//        measured at registration, so a scalar soft-CPU device naturally
+//        takes less traffic than a 950 MHz multicore device); a device
+//        holds at most one routed request behind the one it is running,
+//        so a full device is skipped and, once every device is full, the
+//        rest wait in the admission queue
+//     -> the device's worker replays the plan's pre-instantiated GraphExec
+//        inline (GraphExec::run) on a per-tenant stream -- the per-request
+//        hot path is ONE copy-in rebind + composite replay on ONE thread,
+//        no re-validation, no re-assembly, and (for prologue kernels) no
+//        I-MEM touch at all
 //     -> the request's ClusterTicket resolves with the output slice,
 //        host latency, and the serving device.
+//
+// Threads: the submitter and one worker per device carry requests; a
+// watchdog thread owns every timer (deadlines, retry backoff, probation).
 //
 // Failure semantics (see docs/robustness.md): every device runs a health
 // state machine. A transient fault (faults::TransientFault, or an output
@@ -73,15 +80,12 @@ enum class OverloadPolicy {
 };
 
 struct ClusterConfig {
-  /// Admission-queue bound across all tenants (requests queued but not yet
-  /// routed to a device). Fail-overs re-enter above the bound: accepted
-  /// work is never shed by its own retry.
+  /// Bound on admitted-but-not-started requests across all tenants: the
+  /// admission queues plus the one request each device may hold staged
+  /// behind its running replay. Fail-overs re-enter above the bound:
+  /// accepted work is never shed by its own retry.
   std::size_t queue_capacity = 64;
   OverloadPolicy policy = OverloadPolicy::Reject;
-  /// Pre-instantiated GraphExec copies per (device, plan): how many
-  /// replays a device worker keeps in flight before waiting, overlapping
-  /// host-side rebind with executor-side simulation.
-  unsigned replay_depth = 2;
   /// Fail-over attempts per request before it resolves Failed.
   unsigned max_retries = 3;
 
@@ -266,7 +270,9 @@ struct ClusterStats {
   std::uint64_t probations = 0;   ///< Quarantined -> Probation transitions
   std::uint64_t readmitted = 0;   ///< Probation -> Healthy transitions
   std::uint64_t brownout_shed = 0;  ///< low-priority brownout evictions
-  std::size_t queued = 0;       ///< currently in the admission queue
+  /// Admitted, not yet started: admission queues plus staged requests
+  /// (what queue_capacity bounds).
+  std::size_t queued = 0;
   std::vector<std::uint64_t> per_device_completed;
   std::vector<DeviceHealth> per_device_health;
   /// Modeled device-time (us at the device's realized Fmax) each device
@@ -279,8 +285,8 @@ struct ClusterStats {
 class DeviceCluster {
  public:
   /// Open one device per descriptor and start the serving threads (one
-  /// dispatcher plus one worker per device). Throws simt::Error on an
-  /// empty descriptor list.
+  /// worker per device plus the watchdog). Throws simt::Error on an empty
+  /// descriptor list.
   explicit DeviceCluster(std::vector<runtime::DeviceDescriptor> descs,
                          ClusterConfig cfg = {});
   ~DeviceCluster();
@@ -290,9 +296,9 @@ class DeviceCluster {
 
   /// Register a serving plan on every alive device: assemble the module
   /// (the per-device module cache absorbs re-registration), allocate and
-  /// preload its buffers, capture the copy-in / launch / copy-out pipeline,
-  /// instantiate replay_depth GraphExecs, and run one warmup replay to
-  /// prime the resident image and measure the routing cost estimate.
+  /// preload its buffers, capture and instantiate the copy-in / launch /
+  /// copy-out pipeline, and run one warmup replay to prime the resident
+  /// image and measure the routing cost estimate.
   /// Call before traffic; throws on a spec with no (or several) Input or
   /// Output args, or anything the kernel ABI rejects.
   void register_plan(const PlanSpec& spec);
@@ -328,7 +334,8 @@ class DeviceCluster {
   void arm_faults();
   void disarm_faults();
 
-  /// Hold the dispatcher between requests (in-flight routing finishes).
+  /// Hold routing: admitted requests stay in the admission queues until
+  /// resume() (requests already staged or running on a device finish).
   /// Lets tests build a queue backlog deterministically.
   void pause();
   void resume();
@@ -343,18 +350,23 @@ class DeviceCluster {
   struct DeviceState;
   struct Request;
 
-  void dispatcher_loop();
+  /// Route waiting requests (lock held): round-robin across tenants, each
+  /// to the least-loaded device that does not already hold a staged
+  /// request, until every such device is full. Called wherever routing
+  /// inputs change: submit, worker take and completion, resume, retry,
+  /// backoff expiry, fail-over, re-admission. No-op while paused.
+  void route_locked();
   void worker_loop(std::size_t device);
-  /// Deadline + probation timer thread: fails overdue work wherever it
-  /// sits (queued, delayed, in flight) and promotes rested quarantined
-  /// devices to Probation.
+  /// Timer thread: fails overdue work wherever it sits (queued, delayed,
+  /// staged, running), moves expired backoffs back into admission, and
+  /// promotes rested quarantined devices to Probation.
   void watchdog_loop();
-  /// Issue one request on its routed device (worker thread only; completes
-  /// the target replay slot first if it is still busy).
-  void issue(std::size_t device, Request req);
-  /// Wait out one in-flight slot and resolve its ticket (worker thread).
-  void complete_slot(std::size_t device, PlanEntry& entry,
-                     std::size_t slot_index);
+  /// Wake the watchdog if `t` is earlier than the time it sleeps until
+  /// (lock held).
+  void arm_watchdog_locked(std::chrono::steady_clock::time_point t);
+  /// Replay one request inline and resolve it (worker thread, lock not
+  /// held; the request is already registered as running).
+  void issue(std::size_t device, PlanEntry& entry, Request req);
   /// Canary-replay a device on probation (worker thread, off-lock);
   /// re-admits on a bit-exact round trip, re-quarantines otherwise.
   void probe_device(std::size_t device);
@@ -382,21 +394,23 @@ class DeviceCluster {
   void finish_locked(Request& req, RequestStatus status,
                      std::vector<std::uint32_t> output, std::string error,
                      int device, bool accepted = true);
-  /// Stop routing to a device and fail its queued work over (lock held).
-  /// `fault` distinguishes Quarantined (probation-eligible) from
+  /// Stop routing to a device and fail its staged request over (lock
+  /// held). `fault` distinguishes Quarantined (probation-eligible) from
   /// Unplugged.
   void retire_device_locked(std::size_t device, bool fault);
 
   ClusterConfig cfg_;
   std::vector<std::unique_ptr<DeviceState>> devices_;
-  std::thread dispatcher_;
   std::thread watchdog_;
 
   mutable std::mutex mu_;
-  std::condition_variable admit_cv_;  ///< wakes the dispatcher
   std::condition_variable space_cv_;  ///< wakes Block-policy submitters
   std::condition_variable drain_cv_;  ///< wakes drain()
   std::condition_variable watch_cv_;  ///< wakes the watchdog
+  /// When the watchdog next wakes on its own; arm_watchdog_locked()
+  /// notifies only for an earlier time.
+  std::chrono::steady_clock::time_point watch_until_ =
+      std::chrono::steady_clock::time_point::max();
   bool stopping_ = false;
   bool paused_ = false;
 
@@ -404,8 +418,7 @@ class DeviceCluster {
   /// hot tenant cannot starve the others.
   std::deque<std::string> tenant_ring_;
   std::unordered_map<std::string, std::deque<Request>> tenants_;
-  std::size_t ring_cursor_ = 0;
-  std::size_t queued_ = 0;
+  std::size_t queued_ = 0;  ///< admitted, not started (see ClusterStats)
   /// Backoff parking lot: retried requests waiting out their delay. Not
   /// counted in queued_ (a retry never competes with fresh admission);
   /// still counted in in_system_ (drain waits for them).

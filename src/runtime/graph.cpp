@@ -217,6 +217,15 @@ LaunchPlan GraphExec::plan(std::size_t launch_index) const {
 }
 
 Event GraphExec::launch(Stream& stream, GraphUpdates updates) {
+  return replay(stream, std::move(updates), /*inline_run=*/false);
+}
+
+Event GraphExec::run(Stream& stream, GraphUpdates updates) {
+  return replay(stream, std::move(updates), /*inline_run=*/true);
+}
+
+Event GraphExec::replay(Stream& stream, GraphUpdates updates,
+                        bool inline_run) {
   if (!state_) {
     throw Error("launch of an empty GraphExec; instantiate a graph first");
   }
@@ -401,7 +410,11 @@ Event GraphExec::launch(Stream& stream, GraphUpdates updates) {
   cmd.sub.push_back(std::move(fin));
 
   state_lock.unlock();
-  stream.submit_command(std::move(cmd));
+  if (inline_run) {
+    stream.run_command(std::move(cmd));
+  } else {
+    stream.submit_command(std::move(cmd));
+  }
   Event event;
   event.state_ = std::move(event_state);
   return event;

@@ -144,10 +144,11 @@ class Graph {
   std::vector<GraphNode> nodes_;
 };
 
-/// Per-replay rebinding set for GraphExec::launch. Ordinals count nodes of
-/// the matching kind in capture order (the 0th launch, the 1st copy-in,
-/// ...). Updates are applied on the executor thread at the start of the
-/// replay, so an in-flight earlier replay is never mutated under.
+/// Per-replay rebinding set for GraphExec::launch/run. Ordinals count
+/// nodes of the matching kind in capture order (the 0th launch, the 1st
+/// copy-in, ...). Updates are applied when the replay starts executing,
+/// after every earlier command on the device, so an in-flight earlier
+/// replay is never mutated under.
 class GraphUpdates {
  public:
   /// Rebind the `launch_index`-th captured launch to a new argument set.
@@ -209,8 +210,22 @@ class GraphExec {
   /// the captured transfer.
   Event launch(Stream& stream, GraphUpdates updates = {});
 
+  /// Synchronous replay: the same composite command launch() builds, run
+  /// on the calling thread instead of the executor (Scheduler::run). It
+  /// executes behind every command already enqueued on the device and
+  /// returns the resolved Event. The modeled timeline prices it exactly
+  /// like launch() -- same dependencies, engines, and dispatch cost --
+  /// and the Replay/Launch fault sites fire the same way: a fault lands on
+  /// the returned Event (wait()/stats() rethrow it) and on the stream's
+  /// sticky error slot, never as a throw from run() itself. Validation
+  /// failures throw exactly as launch()'s do.
+  Event run(Stream& stream, GraphUpdates updates = {});
+
  private:
   friend class Graph;
+  /// Validate `updates`, build the replay's composite command, and hand it
+  /// to `stream` -- enqueued (launch) or run on this thread (run).
+  Event replay(Stream& stream, GraphUpdates updates, bool inline_run);
   /// Where one captured copy-in landed after fusion: a segment of the
   /// payload of node `node` (a fused burst covers several segments).
   struct CopySegment {
@@ -233,9 +248,11 @@ class GraphExec {
     std::size_t copy_in_nodes = 0;  ///< post-fusion copy-in (burst) count
     double staging_words_per_cycle = 1.0;
     /// Guards the rebindable pieces (plans, copy-in payloads) between
-    /// submitting threads (validation reads in launch()) and the executor
-    /// (the apply sub-command's writes). The executor's own reads need no
-    /// lock: it is one thread, so they never overlap its writes.
+    /// submitting threads (validation reads in launch()/run()) and the
+    /// replay executing (the apply sub-command's writes). A device executes
+    /// one command at a time -- on its executor or a run() caller -- so the
+    /// executing replay's own reads need no lock: they never overlap a
+    /// write.
     mutable std::mutex mutex;
   };
   std::shared_ptr<State> state_;

@@ -41,9 +41,34 @@ Ticket Scheduler::submit(Command cmd, std::vector<Ticket> deps) {
   return ticket;
 }
 
+void Scheduler::run(Command cmd, std::vector<Ticket> deps,
+                    const std::function<void(Ticket)>& reserved) {
+  Node node;
+  node.cmd = std::move(cmd);
+  node.deps = std::move(deps);
+  std::unique_lock<std::mutex> lock(mutex_);
+  const Ticket t = next_ticket_++;
+  node.ticket = t;
+  if (node.cmd.event) {
+    node.cmd.event->ticket = t;
+    node.cmd.event->scheduler = this;
+    node.cmd.event->scheduler_alive = liveness_;
+  }
+  reserved(t);
+  done_cv_.wait(lock, [this, t] {
+    return !paused_ && completed_.load(std::memory_order_relaxed) + 1 == t;
+  });
+  execute(node, lock);
+  if (front_ready()) {
+    work_cv_.notify_all();  // hand the executor what queued behind us
+  }
+}
+
 void Scheduler::wait(Ticket t) {
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this, t] { return completed_ >= t; });
+  done_cv_.wait(lock, [this, t] {
+    return completed_.load(std::memory_order_relaxed) >= t;
+  });
 }
 
 void Scheduler::wait_all() {
@@ -53,11 +78,6 @@ void Scheduler::wait_all() {
     last = next_ticket_ - 1;
   }
   wait(last);
-}
-
-bool Scheduler::done(Ticket t) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return completed_ >= t;
 }
 
 void Scheduler::pause() {
@@ -71,6 +91,7 @@ void Scheduler::resume() {
     paused_ = false;
   }
   work_cv_.notify_all();
+  done_cv_.notify_all();  // run() callers held by the pause
 }
 
 TimelineStats Scheduler::timeline() const {
@@ -152,8 +173,8 @@ void Scheduler::account(const Node& node, std::uint64_t cycles,
     ++graph_replays_;
     if (node.cmd.event) {
       // Publish the replay's own modeled span (both pricings) on its
-      // event; the complete/failed store in loop() sequences these writes
-      // before any reader.
+      // event; the complete/failed store in execute() sequences these
+      // writes before any reader.
       node.cmd.event->replay_serial_us = serial_us_ - serial_before;
       node.cmd.event->replay_overlap_us = finish - ready;
     }
@@ -169,68 +190,77 @@ void Scheduler::account(const Node& node, std::uint64_t cycles,
   ++commands_;
 }
 
+bool Scheduler::front_ready() const {
+  return !queue_.empty() && (!paused_ || stopping_) &&
+         queue_.front().ticket ==
+             completed_.load(std::memory_order_relaxed) + 1;
+}
+
 void Scheduler::loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     work_cv_.wait(lock, [this] {
-      return stopping_ || (!paused_ && !queue_.empty());
+      return (stopping_ && queue_.empty()) || front_ready();
     });
     if (queue_.empty()) {
       return;  // stopping with a drained queue
     }
     Node node = std::move(queue_.front());
     queue_.pop_front();
-    lock.unlock();
-
-    std::uint64_t cycles = 0;
-    std::vector<std::uint64_t> sub_cycles;
-    std::exception_ptr err;
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      if (node.cmd.run) {
-        cycles = node.cmd.run();
-      }
-      // Composite command: execute the frozen sub-sequence in order. A
-      // faulting sub-command aborts the rest of the replay (the fault
-      // lands on the parent's event and stream error slot).
-      if (!node.cmd.sub.empty()) {
-        if (auto* f = dev_.fault_injector()) {
-          // One Replay trigger per composite replay dispatch; a thrown
-          // fault fails the whole replay before any sub executes.
-          f->at(faults::FaultSite::Replay);
-        }
-      }
-      for (auto& sub : node.cmd.sub) {
-        sub_cycles.push_back(sub.run ? sub.run() : 0);
-      }
-    } catch (...) {
-      err = std::current_exception();
-    }
-    const double host_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-
-    lock.lock();
-    account(node, cycles, sub_cycles);
-    completed_ = node.ticket;
-    if (node.cmd.event) {
-      if (err) {
-        node.cmd.event->error = err;
-        node.cmd.event->failed.store(true, std::memory_order_release);
-      } else {
-        node.cmd.event->host_elapsed_us = host_us;
-        node.cmd.event->complete.store(true, std::memory_order_release);
-      }
-    }
-    if (err && node.cmd.error_slot) {
-      std::lock_guard<std::mutex> slot_lock(node.cmd.error_slot->mutex);
-      if (!node.cmd.error_slot->error) {
-        node.cmd.error_slot->error = err;  // first fault on the stream wins
-      }
-    }
-    done_cv_.notify_all();
+    execute(node, lock);
   }
+}
+
+void Scheduler::execute(Node& node, std::unique_lock<std::mutex>& lock) {
+  lock.unlock();
+  std::uint64_t cycles = 0;
+  std::vector<std::uint64_t> sub_cycles;
+  std::exception_ptr err;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    if (node.cmd.run) {
+      cycles = node.cmd.run();
+    }
+    // Composite command: execute the frozen sub-sequence in order. A
+    // faulting sub-command aborts the rest of the replay (the fault
+    // lands on the parent's event and stream error slot).
+    if (!node.cmd.sub.empty()) {
+      if (auto* f = dev_.fault_injector()) {
+        // One Replay trigger per composite replay dispatch; a thrown
+        // fault fails the whole replay before any sub executes.
+        f->at(faults::FaultSite::Replay);
+      }
+    }
+    for (auto& sub : node.cmd.sub) {
+      sub_cycles.push_back(sub.run ? sub.run() : 0);
+    }
+  } catch (...) {
+    err = std::current_exception();
+  }
+  const double host_us =
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+
+  lock.lock();
+  account(node, cycles, sub_cycles);
+  completed_.store(node.ticket, std::memory_order_release);
+  if (node.cmd.event) {
+    if (err) {
+      node.cmd.event->error = err;
+      node.cmd.event->failed.store(true, std::memory_order_release);
+    } else {
+      node.cmd.event->host_elapsed_us = host_us;
+      node.cmd.event->complete.store(true, std::memory_order_release);
+    }
+  }
+  if (err && node.cmd.error_slot) {
+    std::lock_guard<std::mutex> slot_lock(node.cmd.error_slot->mutex);
+    if (!node.cmd.error_slot->error) {
+      node.cmd.error_slot->error = err;  // first fault on the stream wins
+    }
+  }
+  done_cv_.notify_all();
 }
 
 void Event::wait() const {

@@ -3,6 +3,10 @@
 // Streams do not execute anything themselves: every copy/launch command is
 // submitted here and runs on the scheduler's executor thread, so host code
 // keeps going while the device simulates. Stream::synchronize() is a join.
+// A caller that would only wait for the result anyway (a serving worker
+// replaying a graph) can instead run a command on its own thread through
+// run(): same ticket order, same pricing, same fault sites and completion
+// publication, minus the handoff to the executor and back.
 // Commands carry dependency tickets (same-stream ordering, cross-stream
 // Event waits); the in-process executor runs commands in submission order,
 // which trivially satisfies those dependencies and keeps multi-stream
@@ -18,6 +22,7 @@
 // modeled throughput gain of the asynchronous engine.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -142,6 +147,18 @@ class Scheduler {
   /// Enqueue a command after `deps` (earlier tickets). Returns its ticket.
   Ticket submit(Command cmd, std::vector<Ticket> deps = {});
 
+  /// Execute `cmd` on the calling thread as the next ticket: commands
+  /// submitted afterwards order behind it, and it runs once every earlier
+  /// ticket has executed (queued or running commands first; a paused
+  /// scheduler holds it too). Pricing, fault sites, and event / error-slot
+  /// publication are exactly the executor's; returns once the command's
+  /// completion is published. `reserved` is called with the new ticket
+  /// under the scheduler lock, before the wait (a stream records its
+  /// ordering there); it must not throw. Taking the ticket and running it
+  /// are one call, so no ticket can be left unrun to stall the executor.
+  void run(Command cmd, std::vector<Ticket> deps,
+           const std::function<void(Ticket)>& reserved);
+
   /// Block until ticket `t` has executed (t == 0 returns immediately).
   /// Errors are reported through the command's stream error slot and
   /// event, not here -- see Stream::synchronize() and Event::wait().
@@ -149,8 +166,10 @@ class Scheduler {
   /// Block until every submitted command has executed.
   void wait_all();
 
-  /// Has ticket `t` executed? (Non-blocking; t == 0 is always done.)
-  bool done(Ticket t) const;
+  /// Retired watermark: every ticket <= this has executed (non-blocking;
+  /// ticket 0 is always retired). Lock-free, so streams can prune their
+  /// bookkeeping on every submit for free.
+  Ticket retired() const { return completed_.load(std::memory_order_acquire); }
 
   /// Hold the executor between commands (in-flight work finishes). Lets
   /// tests and tools observe queued state deterministically.
@@ -172,6 +191,13 @@ class Scheduler {
   };
 
   void loop();
+  /// Is the queue's front command next in ticket order and allowed to run
+  /// (mutex held)? A reserved ticket ahead of it holds it back.
+  bool front_ready() const;
+  /// Run one command on the calling thread and publish its completion:
+  /// modeled pricing, completed_, event, error slot. Called with the lock
+  /// held; drops it while the command runs and returns with it held.
+  void execute(Node& node, std::unique_lock<std::mutex>& lock);
   /// Fold an executed command into the modeled timeline (mutex held).
   /// `sub_cycles` carries the per-sub-command durations of a composite.
   void account(const Node& node, std::uint64_t cycles,
@@ -188,10 +214,12 @@ class Scheduler {
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;  ///< wakes the executor
-  std::condition_variable done_cv_;  ///< wakes waiters
+  std::condition_variable done_cv_;  ///< wakes waiters and run() callers
   std::deque<Node> queue_;
   Ticket next_ticket_ = 1;
-  Ticket completed_ = 0;  ///< every ticket <= this has executed
+  /// Every ticket <= this has executed. Written under mutex_, read
+  /// lock-free by retired().
+  std::atomic<Ticket> completed_{0};
   bool paused_ = false;
   bool stopping_ = false;
 

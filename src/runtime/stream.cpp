@@ -4,8 +4,7 @@
 
 namespace simt::runtime {
 
-Ticket Stream::submit(Scheduler::Command cmd, std::vector<Ticket> extra_deps) {
-  std::lock_guard<std::mutex> lock(submit_mutex_);
+std::vector<Ticket> Stream::next_deps_locked(std::vector<Ticket> extra) const {
   if (capture_ != nullptr) {
     // Every internal path checks capture mode before building a command,
     // but those checks release the mutex; re-checking inside the critical
@@ -14,18 +13,41 @@ Ticket Stream::submit(Scheduler::Command cmd, std::vector<Ticket> extra_deps) {
     throw Error("command submitted while the stream is capturing; eager "
                 "execution and graph replay are not allowed mid-capture");
   }
-  std::vector<Ticket> deps = std::move(extra_deps);
   if (last_ != 0) {
-    deps.push_back(last_);
+    extra.push_back(last_);
   }
+  return extra;
+}
+
+Ticket Stream::submit(Scheduler::Command cmd, std::vector<Ticket> extra_deps) {
+  std::lock_guard<std::mutex> lock(submit_mutex_);
+  std::vector<Ticket> deps = next_deps_locked(std::move(extra_deps));
   cmd.error_slot = error_;
   last_ = sched_->submit(std::move(cmd), std::move(deps));
+  prune_locked();
   live_.push_back(last_);
   return last_;
 }
 
+void Stream::prune_locked() const {
+  const Ticket retired = sched_->retired();
+  while (!live_.empty() && live_.front() <= retired) {
+    live_.pop_front();
+  }
+}
+
 Ticket Stream::submit_command(Scheduler::Command cmd) {
   return submit(std::move(cmd));
+}
+
+void Stream::run_command(Scheduler::Command cmd) {
+  std::unique_lock<std::mutex> lock(submit_mutex_);
+  std::vector<Ticket> deps = next_deps_locked({});
+  cmd.error_slot = error_;
+  sched_->run(std::move(cmd), std::move(deps), [&](Ticket t) {
+    last_ = t;      // later commands on this stream order behind it
+    lock.unlock();  // ... but may enqueue while it runs
+  });
 }
 
 Event Stream::submit_op(StreamOp op) {
@@ -245,9 +267,7 @@ void Stream::end_capture() {
 
 std::size_t Stream::pending() const {
   std::lock_guard<std::mutex> lock(submit_mutex_);
-  while (!live_.empty() && sched_->done(live_.front())) {
-    live_.pop_front();
-  }
+  prune_locked();
   return live_.size();
 }
 
@@ -265,9 +285,7 @@ void Stream::synchronize() {
   sched_->wait(target);  // join outside the lock: submitters keep going
   {
     std::lock_guard<std::mutex> lock(submit_mutex_);
-    while (!live_.empty() && live_.front() <= target) {
-      live_.pop_front();  // everything up to the joined ticket has retired
-    }
+    prune_locked();  // everything up to the joined ticket has retired
   }
   std::exception_ptr err;
   {

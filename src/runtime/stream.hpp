@@ -147,6 +147,8 @@ class Stream {
   }
 
   /// Commands enqueued on this stream the scheduler has not executed yet.
+  /// (A synchronous graph replay, GraphExec::run, has executed by the
+  /// time it returns and never counts.)
   std::size_t pending() const;
 
   /// Join: block until every command enqueued on this stream has executed.
@@ -168,6 +170,7 @@ class Stream {
 
  private:
   friend class GraphExec;  ///< replays submit through submit_command
+  friend class StreamTestPeer;  ///< white-box access for the graph tests
 
   /// The one sink every command goes through: capture mode records the op
   /// as a graph node (returning a captured-event handle for launches and
@@ -178,8 +181,18 @@ class Stream {
   /// Submit a prebuilt scheduler command (graph replays) with this
   /// stream's ordering and error slot.
   Ticket submit_command(Scheduler::Command cmd);
+  /// Run a prebuilt scheduler command on the calling thread
+  /// (Scheduler::run) with this stream's ordering and error slot: it
+  /// executes behind everything already enqueued on the device, and later
+  /// submissions order behind it.
+  void run_command(Scheduler::Command cmd);
   /// Submit with this stream's ordering dependency and track the ticket.
   Ticket submit(Scheduler::Command cmd, std::vector<Ticket> extra_deps = {});
+  /// This stream's ordering dependency for its next command, plus
+  /// `extra` (submit_mutex_ held). Throws mid-capture.
+  std::vector<Ticket> next_deps_locked(std::vector<Ticket> extra) const;
+  /// Drop live_'s retired prefix (submit_mutex_ held).
+  void prune_locked() const;
 
   Device* dev_;
   Scheduler* sched_;
@@ -196,7 +209,11 @@ class Stream {
   /// threads can enqueue concurrently.
   mutable std::mutex submit_mutex_;
   Ticket last_ = 0;                   ///< most recent command on this stream
-  mutable std::deque<Ticket> live_;   ///< unretired tickets, for pending()
+  /// Enqueued tickets not yet known to have retired, for pending(). Every
+  /// submit prunes the retired prefix against the lock-free
+  /// Scheduler::retired(), so a stream that never synchronizes stays
+  /// bounded.
+  mutable std::deque<Ticket> live_;
   /// First fault among this stream's commands (shared with the scheduler,
   /// which fills it from the executor thread under the slot's own mutex);
   /// consumed by synchronize().

@@ -1,12 +1,16 @@
 // Tests for the DeviceCluster serving tier: admission control (reject /
 // shed-oldest / block), per-tenant round-robin fairness, outstanding-work
 // routing across mixed backends, plan-cached replay correctness (bit-
-// identical to a single-device launch_sync), hot-unplug fail-over, and
-// sticky-fault quarantine.
+// identical to a single-device launch_sync), hot-unplug fail-over,
+// sticky-fault quarantine, and the queue bound and fairness under live
+// (unpaused) traffic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -133,8 +137,8 @@ TEST(Cluster, ThreeBackendDifferential) {
                          rt::DeviceDescriptor::scalar_cpu(scfg)});
   cluster.register_plan(scale_plan(kN));
 
-  // Queue the whole burst with the dispatcher held so routing sees real
-  // backlog (outstanding-work spreading is what this test exercises).
+  // Queue the whole burst with routing held so it sees real backlog
+  // (outstanding-work spreading is what this test exercises).
   constexpr unsigned kRequests = 24;
   const char* tenants[] = {"dsp", "web", "ml"};
   cluster.pause();
@@ -180,7 +184,7 @@ TEST(Cluster, RoundRobinFairnessUnderHotTenant) {
   cluster.register_plan(scale_plan(kN));
   const auto payload = payload_for(kN, 1);
 
-  // Build the backlog with the dispatcher held so admission order is
+  // Build the backlog with routing held so admission order is
   // deterministic: 8 hot requests, then 2 cold ones.
   cluster.pause();
   std::vector<ClusterTicket> hot, cold;
@@ -381,6 +385,173 @@ TEST(Cluster, StickyFaultQuarantinesAndSurvivorServes) {
   ASSERT_EQ(good.status(), RequestStatus::Ok);
   const auto got = good.result();
   EXPECT_TRUE(std::equal(got.begin() + 1, got.end(), payload.begin() + 1));
+}
+
+// ---- live traffic: bound and fairness without pause() -----------------------
+
+/// Poll until the cluster has started every admitted request (nothing left
+/// in the admission queues or staged on a device).
+bool wait_until_started(const DeviceCluster& cluster) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (cluster.stats().queued != 0) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+TEST(ClusterCapacity, UnpausedRejectBurstHoldsTheBound) {
+  // One device whose launches stall 50ms keeps its first request running
+  // while a burst arrives. queue_capacity bounds admitted-but-not-started
+  // work -- the admission queue plus the one request staged behind the
+  // running replay -- so exactly `capacity` of the burst are accepted.
+  constexpr unsigned kN = 16;
+  constexpr unsigned kBurst = 12;
+  ClusterConfig cfg;
+  cfg.queue_capacity = 4;
+  cfg.policy = OverloadPolicy::Reject;
+  cfg.fault_spec = "launch:stall=50ms";
+  cfg.fault_seed = 0x950;
+  std::printf("[ config   ] seed=0x%llx devices=1 queue_capacity=%zu "
+              "policy=reject fault_spec=%s burst=%u\n",
+              static_cast<unsigned long long>(cfg.fault_seed),
+              cfg.queue_capacity, cfg.fault_spec.c_str(), kBurst);
+  DeviceCluster cluster({rt::DeviceDescriptor::simt_core(small_cfg())}, cfg);
+  cluster.register_plan(scale_plan(kN));
+
+  std::vector<ClusterTicket> tickets;
+  tickets.push_back(cluster.submit("t", "scale", payload_for(kN, 0)));
+  ASSERT_TRUE(wait_until_started(cluster)) << "first request never started";
+  for (unsigned r = 1; r <= kBurst; ++r) {
+    tickets.push_back(cluster.submit("t", "scale", payload_for(kN, r)));
+  }
+  unsigned accepted = 0, rejected = 0;
+  for (unsigned r = 1; r <= kBurst; ++r) {
+    if (tickets[r].done() &&
+        tickets[r].status() == RequestStatus::Rejected) {
+      ++rejected;
+    } else {
+      ++accepted;
+    }
+  }
+  EXPECT_EQ(accepted, cfg.queue_capacity);
+  EXPECT_EQ(rejected, kBurst - cfg.queue_capacity);
+
+  cluster.drain();
+  for (unsigned r = 0; r <= kBurst; ++r) {
+    ASSERT_TRUE(tickets[r].done()) << "request " << r << " unresolved";
+    if (tickets[r].status() == RequestStatus::Ok) {
+      const auto got = tickets[r].result();
+      const auto want = golden_scale(payload_for(kN, r), 3, 5);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+          << "request " << r;
+    }
+  }
+  const auto stats = cluster.stats();
+  EXPECT_EQ(stats.submitted, kBurst + 1);
+  EXPECT_EQ(stats.accepted, cfg.queue_capacity + 1);
+  EXPECT_EQ(stats.rejected, kBurst - cfg.queue_capacity);
+  EXPECT_EQ(stats.completed, cfg.queue_capacity + 1);
+  EXPECT_EQ(stats.failed + stats.shed, 0u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.rejected);
+}
+
+TEST(ClusterCapacity, UnpausedColdTenantIsNotStarvedByHotBacklog) {
+  // The device is busy (every launch stalls 5ms) and a hot tenant has a
+  // deep backlog when a cold tenant's request arrives. Ahead of it can be
+  // only what had completed by then, the running request, the one staged
+  // behind it, and one round-robin turn per other tenant: it completes
+  // 4th (later only if the host was slow to submit), not last.
+  constexpr unsigned kN = 16;
+  constexpr unsigned kHot = 8;
+  ClusterConfig cfg;
+  cfg.fault_spec = "launch:stall=5ms";
+  cfg.fault_seed = 0x950;
+  std::printf("[ config   ] seed=0x%llx devices=1 queue_capacity=%zu "
+              "fault_spec=%s hot_backlog=%u other_tenants=1\n",
+              static_cast<unsigned long long>(cfg.fault_seed),
+              cfg.queue_capacity, cfg.fault_spec.c_str(), kHot);
+  DeviceCluster cluster({rt::DeviceDescriptor::simt_core(small_cfg())}, cfg);
+  cluster.register_plan(scale_plan(kN));
+  const auto payload = payload_for(kN, 1);
+
+  std::vector<ClusterTicket> hot;
+  hot.push_back(cluster.submit("hot", "scale", payload));
+  ASSERT_TRUE(wait_until_started(cluster)) << "first request never started";
+  for (unsigned i = 0; i < kHot; ++i) {
+    hot.push_back(cluster.submit("hot", "scale", payload));
+  }
+  auto cold = cluster.submit("cold", "scale", payload);
+  // At least as many as had completed when the cold request arrived.
+  const std::uint64_t done_before = cluster.stats().completed;
+  cluster.drain();
+
+  ASSERT_EQ(cold.status(), RequestStatus::Ok);
+  constexpr std::uint64_t kRunning = 1, kStaged = 1, kOtherTenants = 1;
+  EXPECT_LE(cold.completion_seq(),
+            done_before + kRunning + kStaged + kOtherTenants + 1)
+      << "the cold request waited behind the hot backlog (" << done_before
+      << " completed before it arrived)";
+  for (auto& t : hot) {
+    EXPECT_EQ(t.status(), RequestStatus::Ok);
+  }
+}
+
+TEST(ClusterCapacity, StalledDeviceDoesNotHoldRoutingForItsPeer) {
+  // Device 0's first launch stalls on the host for 400ms; its modeled
+  // cost does not grow, so in modeled terms it soon looks like the
+  // least-loaded device. Routing must still send the traffic behind it
+  // to device 1, which is free: only the one request device 0 may hold
+  // staged behind its running replay waits out the stall.
+  constexpr unsigned kN = 16;
+  constexpr unsigned kBurst = 8;
+  constexpr std::uint64_t kSeed = 0x950;
+  const auto stall = std::chrono::milliseconds(400);
+  std::vector<rt::DeviceDescriptor> descs = {
+      rt::DeviceDescriptor::simt_core(small_cfg()),
+      rt::DeviceDescriptor::simt_core(small_cfg())};
+  descs[0].faults =
+      faults::FaultInjector::from_spec("launch:stall=400ms:limit=1", kSeed);
+  std::printf("[ config   ] seed=0x%llx devices=2 device0_faults="
+              "launch:stall=400ms:limit=1 burst=%u\n",
+              static_cast<unsigned long long>(kSeed), kBurst);
+  DeviceCluster cluster(std::move(descs));
+  cluster.register_plan(scale_plan(kN));
+
+  // Ties route to device 0 first: this request runs into the stall.
+  const auto t0 = std::chrono::steady_clock::now();
+  auto stalled = cluster.submit("t", "scale", payload_for(kN, 0));
+  ASSERT_TRUE(wait_until_started(cluster)) << "first request never started";
+
+  std::vector<ClusterTicket> burst;
+  for (unsigned r = 1; r <= kBurst; ++r) {
+    burst.push_back(cluster.submit("t", "scale", payload_for(kN, r)));
+  }
+  unsigned behind_stall = 0;
+  for (unsigned r = 0; r < kBurst; ++r) {
+    if (!burst[r].wait_for(stall / 2) || burst[r].device() == 0) {
+      ++behind_stall;
+    }
+  }
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_FALSE(stalled.done()) << "the stall ended before the burst drained";
+  EXPECT_LT(waited, stall) << "the burst waited out the stall";
+  EXPECT_LE(behind_stall, 1u)
+      << "requests queued behind the stalled device instead of its peer";
+
+  cluster.drain();
+  ASSERT_EQ(stalled.status(), RequestStatus::Ok);
+  EXPECT_EQ(stalled.device(), 0);
+  for (unsigned r = 0; r < kBurst; ++r) {
+    ASSERT_EQ(burst[r].status(), RequestStatus::Ok) << "request " << r + 1;
+    const auto got = burst[r].result();
+    const auto want = golden_scale(payload_for(kN, r + 1), 3, 5);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+        << "request " << r + 1;
+  }
 }
 
 }  // namespace

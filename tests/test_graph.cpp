@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/faults.hpp"
 #include "kernels/kernels.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/buffer.hpp"
@@ -32,6 +35,16 @@ class GraphTestPeer {
  public:
   static void add_dep(Graph& g, std::size_t node, std::size_t dep) {
     g.nodes_[node].deps.push_back(dep);
+  }
+};
+
+/// White-box peer: reads a stream's unretired-ticket bookkeeping, which
+/// must stay bounded on a stream that is never synchronized.
+class StreamTestPeer {
+ public:
+  static std::size_t live_tickets(const Stream& s) {
+    std::lock_guard<std::mutex> lock(s.submit_mutex_);
+    return s.live_.size();
   }
 };
 
@@ -777,6 +790,193 @@ TEST(GraphDag, ConcurrentReplaySubmissionIsSafe) {
   s1.synchronize();
   const auto after = dev.scheduler().timeline();
   EXPECT_EQ(after.graph_replays - before.graph_replays, 2u * kIters);
+}
+
+// ---- synchronous replay (GraphExec::run) ------------------------------------
+
+/// The canonical single-lane serving pipeline, captured on the device's
+/// default stream: copy-in -> scale(mul, add) -> copy-out.
+struct ScalePipeline {
+  Buffer<std::uint32_t> in;
+  Buffer<std::uint32_t> out;
+  std::vector<std::uint32_t> host;    ///< captured payload
+  std::vector<std::uint32_t> result;  ///< frozen copy-out destination
+  GraphExec exec;
+};
+
+std::unique_ptr<ScalePipeline> capture_scale(Device& dev, unsigned n,
+                                             std::uint32_t mul,
+                                             std::uint32_t add) {
+  auto p = std::make_unique<ScalePipeline>();
+  p->in = dev.alloc<std::uint32_t>(n);
+  p->out = dev.alloc<std::uint32_t>(n);
+  p->host.assign(n, 1);
+  p->result.assign(n, 0);
+  const auto scale = dev.load_module(kernels::scale_abi()).kernel("scale");
+  auto& stream = dev.stream();
+  Graph graph;
+  stream.begin_capture(graph);
+  stream.copy_in(p->in, std::span<const std::uint32_t>(p->host));
+  stream.launch(scale, n,
+                KernelArgs().arg(p->in).arg(p->out).scalar(mul).scalar(add));
+  stream.copy_out(p->out, std::span<std::uint32_t>(p->result));
+  stream.end_capture();
+  p->exec = graph.instantiate();
+  return p;
+}
+
+TEST(GraphRun, PricesExactlyLikeLaunch) {
+  // Two identical devices see the same traffic: eager copies queued on
+  // the default stream, each followed by a replay -- launched onto the
+  // executor on one device, run inline on the other. Outputs, per-replay
+  // modeled spans, and the whole modeled timeline must match exactly.
+  constexpr unsigned kN = 16;
+  constexpr unsigned kIters = 8;
+  Device a(DeviceDescriptor::simt_core(small_cfg()));
+  Device b(DeviceDescriptor::simt_core(small_cfg()));
+  auto pa = capture_scale(a, kN, 3, 5);
+  auto pb = capture_scale(b, kN, 3, 5);
+  auto& sa = a.create_stream();
+  auto& sb = b.create_stream();
+  for (unsigned i = 0; i < kIters; ++i) {
+    const std::vector<std::uint32_t> payload(kN, i + 1);
+    a.stream().copy_in(pa->in, std::span<const std::uint32_t>(payload));
+    b.stream().copy_in(pb->in, std::span<const std::uint32_t>(payload));
+    const Event ea = pa->exec.launch(sa, GraphUpdates().copy_in(0, payload));
+    ea.wait();
+    const Event eb = pb->exec.run(sb, GraphUpdates().copy_in(0, payload));
+    ASSERT_TRUE(eb.done()) << "run() returns a resolved event";
+    EXPECT_EQ(pa->result, pb->result) << "replay " << i;
+    EXPECT_EQ(pb->result[0], 3 * (i + 1) + 5);
+    EXPECT_EQ(ea.wall_us(), eb.wall_us());
+    EXPECT_EQ(ea.replay_serial_us(), eb.replay_serial_us());
+    EXPECT_EQ(ea.replay_overlap_us(), eb.replay_overlap_us());
+  }
+  a.stream().synchronize();
+  b.stream().synchronize();
+  const auto ta = a.scheduler().timeline();
+  const auto tb = b.scheduler().timeline();
+  EXPECT_EQ(ta.serial_us, tb.serial_us);
+  EXPECT_EQ(ta.overlap_us, tb.overlap_us);
+  EXPECT_EQ(ta.dispatch_us, tb.dispatch_us);
+  EXPECT_EQ(ta.copied_words, tb.copied_words);
+  EXPECT_EQ(ta.exec_cycles, tb.exec_cycles);
+  EXPECT_EQ(ta.commands, tb.commands);
+  EXPECT_EQ(ta.graph_replays, tb.graph_replays);
+}
+
+TEST(GraphRun, OrdersBehindQueuedWork) {
+  // A replay (launch -> copy-out, no copy-in of its own) run inline on one
+  // stream while an eager copy-in into its input sits queued on another
+  // stream of the same device, behind a paused executor: run() must wait
+  // for the copy, not overtake it.
+  constexpr unsigned kN = 16;
+  Device dev(DeviceDescriptor::simt_core(small_cfg()));
+  auto in = dev.alloc<std::uint32_t>(kN);
+  auto out = dev.alloc<std::uint32_t>(kN);
+  const auto scale = dev.load_module(kernels::scale_abi()).kernel("scale");
+  std::vector<std::uint32_t> result(kN, 0);
+  Graph graph;
+  dev.stream().begin_capture(graph);
+  dev.stream().launch(scale, kN,
+                      KernelArgs().arg(in).arg(out).scalar(2).scalar(0));
+  dev.stream().copy_out(out, std::span<std::uint32_t>(result));
+  dev.stream().end_capture();
+  auto exec = graph.instantiate();
+  auto& replay_stream = dev.create_stream();
+
+  dev.scheduler().pause();
+  const std::vector<std::uint32_t> sevens(kN, 7);
+  dev.stream().copy_in(in, std::span<const std::uint32_t>(sevens));
+  std::atomic<bool> ran{false};
+  std::thread runner([&] {
+    exec.run(replay_stream).wait();
+    ran = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(ran.load()) << "run() overtook a queued command";
+  dev.scheduler().resume();
+  runner.join();
+  EXPECT_TRUE(ran.load());
+  for (unsigned i = 0; i < kN; ++i) {
+    EXPECT_EQ(result[i], 14u) << "word " << i;
+  }
+  EXPECT_EQ(replay_stream.pending(), 0u);
+}
+
+TEST(GraphRun, FaultLandsOnTheEventAndTheStream) {
+  // A Replay-site fault never throws out of run(): like launch(), it fails
+  // the returned event and parks on the stream's sticky error slot.
+  constexpr unsigned kN = 8;
+  DeviceDescriptor desc = DeviceDescriptor::simt_core(small_cfg());
+  desc.faults =
+      faults::FaultInjector::from_spec("replay:transient:limit=1", 7);
+  Device dev(std::move(desc));
+  auto p = capture_scale(dev, kN, 2, 1);
+  auto& stream = dev.create_stream();
+
+  Event first;
+  EXPECT_NO_THROW(first = p->exec.run(stream));
+  EXPECT_TRUE(first.failed());
+  EXPECT_THROW(first.wait(), faults::TransientFault);
+  EXPECT_THROW(stream.synchronize(), faults::TransientFault);
+
+  const Event second = p->exec.run(stream);
+  EXPECT_TRUE(second.done());
+  EXPECT_NO_THROW(stream.synchronize());
+  for (unsigned i = 0; i < kN; ++i) {
+    EXPECT_EQ(p->result[i], 3u);
+  }
+  EXPECT_EQ(dev.fault_injector()->triggers(faults::FaultSite::Replay), 2u);
+}
+
+TEST(GraphRun, InterleavesSafelyWithExecutorReplays) {
+  // One host thread replays inline while another launches onto the
+  // executor, both on one device -- the TSan job's view of the serving
+  // worker sharing a device with eager traffic.
+  constexpr unsigned kN = 16;
+  constexpr unsigned kIters = 48;
+  Device dev(DeviceDescriptor::simt_core(small_cfg()));
+  auto p = capture_scale(dev, kN, 2, 0);
+  auto& s0 = dev.create_stream();
+  auto& s1 = dev.create_stream();
+  const auto before = dev.scheduler().timeline();
+  std::thread launcher([&] {
+    for (unsigned i = 0; i < kIters; ++i) {
+      p->exec.launch(s0, GraphUpdates().copy_in(
+                             0, std::vector<std::uint32_t>(kN, i + 1)));
+    }
+  });
+  std::thread runner([&] {
+    for (unsigned i = 0; i < kIters; ++i) {
+      p->exec.run(s1, GraphUpdates().copy_in(
+                          0, std::vector<std::uint32_t>(kN, i + 1)))
+          .wait();
+    }
+  });
+  launcher.join();
+  runner.join();
+  s0.synchronize();
+  s1.synchronize();
+  const auto after = dev.scheduler().timeline();
+  EXPECT_EQ(after.graph_replays - before.graph_replays, 2u * kIters);
+  EXPECT_EQ(after.commands - before.commands, 2u * kIters);
+}
+
+TEST(StreamTickets, LiveTicketsStayBoundedWithoutSynchronize) {
+  // A serving stream replays forever and never synchronizes: its ticket
+  // bookkeeping must not grow with the number of requests served.
+  constexpr unsigned kReplays = 10000;
+  Device dev(DeviceDescriptor::simt_core(small_cfg()));
+  auto p = capture_scale(dev, 16, 2, 0);
+  auto& stream = dev.create_stream();
+  std::size_t most = 0;
+  for (unsigned i = 0; i < kReplays; ++i) {
+    p->exec.launch(stream).wait();
+    most = std::max(most, StreamTestPeer::live_tickets(stream));
+  }
+  EXPECT_LE(most, 1u) << "after " << kReplays << " completed replays";
+  EXPECT_EQ(p->result[0], 2u);
 }
 
 // ---- buffer use-after-reset hardening ---------------------------------------
