@@ -405,10 +405,6 @@ class AsmContext {
         fail(line, ".param needs a name and a kind (buffer | scalar)");
       }
       auto& k = current_kernel(line, ".param");
-      if (k.prologue) {
-        fail(line, ".param after .prologue: the prologue already "
-                   "materialized the declared parameters");
-      }
       if (k.param_index(name.text) >= 0) {
         fail(line, "duplicate .param: " + name.text);
       }
@@ -425,34 +421,6 @@ class AsmContext {
       expect_end(line, lex);
       return;
     }
-    if (head.text == ".prologue") {
-      const Token reg = lex.next();
-      if (reg.kind != Token::Kind::Reg) {
-        fail(line, ".prologue needs a base register (%rN)");
-      }
-      auto& k = current_kernel(line, ".prologue");
-      if (k.prologue) {
-        fail(line, "duplicate .prologue in kernel '" + k.name + "'");
-      }
-      if (k.params.empty()) {
-        fail(line, ".prologue needs the kernel's .param declarations first");
-      }
-      if (k.entry != pending_.size()) {
-        fail(line, ".prologue must precede the kernel's first instruction");
-      }
-      if (static_cast<std::size_t>(reg.number) + k.params.size() >
-          isa::kMaxRegsPerThread) {
-        fail(line, ".prologue register block %r" +
-                   std::to_string(reg.number) + "..%r" +
-                   std::to_string(reg.number + k.params.size() - 1) +
-                   " exceeds the architectural register file");
-      }
-      k.prologue = true;
-      k.param_reg_base = static_cast<std::uint32_t>(reg.number);
-      emit_prologue(line, k);
-      expect_end(line, lex);
-      return;
-    }
     if (head.text == ".reads") {
       auto& k = current_kernel(line, ".reads");
       k.reads.push_back(parse_footprint(line, lex, ".reads"));
@@ -466,33 +434,6 @@ class AsmContext {
       return;
     }
     fail(line, "unknown directive: " + head.text);
-  }
-
-  /// Inject the loader prologue at the kernel entry: one MOVI holding the
-  /// parameter-window base (left 0 here; the pc is recorded in
-  /// KernelInfo::window_refs and the device patches the real base once per
-  /// cached image) followed by one LDS per declared parameter. The window
-  /// pointer lives in the LAST parameter's destination register, so the
-  /// final load safely overwrites it and the prologue needs no scratch
-  /// register beyond the parameter block itself.
-  void emit_prologue(int line, core::KernelInfo& k) {
-    const auto n = static_cast<std::uint32_t>(k.params.size());
-    const auto ptr = static_cast<std::uint8_t>(k.param_reg_base + n - 1);
-    PendingInstr mv;
-    mv.line = line;
-    mv.instr.op = Opcode::MOVI;
-    mv.instr.rd = ptr;
-    k.window_refs.push_back(static_cast<std::uint32_t>(pending_.size()));
-    pending_.push_back(std::move(mv));
-    for (std::uint32_t i = 0; i < n; ++i) {
-      PendingInstr ld;
-      ld.line = line;
-      ld.instr.op = Opcode::LDS;
-      ld.instr.rd = static_cast<std::uint8_t>(k.param_reg_base + i);
-      ld.instr.ra = ptr;
-      ld.instr.imm = static_cast<std::int32_t>(i);
-      pending_.push_back(std::move(ld));
-    }
   }
 
   std::int64_t immediate(int line, const Token& t) {
@@ -578,21 +519,9 @@ class AsmContext {
 
   std::uint8_t expect_reg(int line, Lexer& lex) {
     const Token t = lex.next();
-    // `$name` in a register position resolves to the parameter's prologue
-    // register -- only meaningful once a .prologue has materialized the
-    // parameter block.
     if (t.kind == Token::Kind::Param) {
-      if (kernels_.empty() || !kernels_.back().prologue) {
-        fail(line, "'$" + t.text + "' as a register operand needs a "
-                   ".prologue in the enclosing kernel");
-      }
-      const auto& k = kernels_.back();
-      const int idx = k.param_index(t.text);
-      if (idx < 0) {
-        fail(line, "undeclared parameter '$" + t.text + "' (declare it "
-                   "with .param in kernel '" + k.name + "')");
-      }
-      return static_cast<std::uint8_t>(k.param_reg_base + idx);
+      fail(line, "expected a register, got parameter '$" + t.text +
+                 "' ($parameters are immediates, patched at launch)");
     }
     if (t.kind != Token::Kind::Reg) {
       fail(line, "expected a register, got '" + t.text + "'");

@@ -444,8 +444,8 @@ void DeviceCluster::register_plan(const PlanSpec& spec) {
     capture_stream.end_capture();
     entry.exec = graph.instantiate();
 
-    // Warmup replay: primes the resident image (a prologue kernel never
-    // touches I-MEM again) and measures the routing cost estimate.
+    // Warmup replay: primes the resident image and measures the routing
+    // cost estimate.
     const auto warm = entry.exec.run(capture_stream);
     const auto& stats = warm.stats();
     entry.est_us = std::max(

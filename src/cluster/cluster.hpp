@@ -15,8 +15,7 @@
 //     -> the device's worker replays the plan's pre-instantiated GraphExec
 //        inline (GraphExec::run) on a per-tenant stream -- the per-request
 //        hot path is ONE copy-in rebind + composite replay on ONE thread,
-//        no re-validation, no re-assembly, and (for prologue kernels) no
-//        I-MEM touch at all
+//        no re-validation and no re-assembly
 //     -> the request's ClusterTicket resolves with the output slice,
 //        host latency, and the serving device.
 //

@@ -121,12 +121,6 @@ std::string kernel_metadata_text(const Program& program) {
       out << "# .ref @" << r.pc << " " << k.params.at(r.param).name << "+"
           << r.addend << "\n";
     }
-    if (k.prologue) {
-      out << "# .prologue %r" << k.param_reg_base << "\n";
-    }
-    for (const auto pc : k.window_refs) {
-      out << "# .window @" << pc << "\n";
-    }
   }
   return out.str();
 }
@@ -268,30 +262,6 @@ std::vector<KernelInfo> parse_kernel_metadata(
                    static_cast<std::uint32_t>(extent), per_thread,
                    static_cast<std::uint32_t>(stride)};
       (word == ".reads" ? k.reads : k.writes).push_back(fp);
-    } else if (word == ".prologue") {
-      std::string reg;
-      if (!(in >> reg) || reg.size() < 3 || reg[0] != '%' || reg[1] != 'r') {
-        meta_fail(raw, ".prologue needs a base register (%rN)");
-      }
-      try {
-        std::size_t consumed = 0;
-        const unsigned long base = std::stoul(reg.substr(2), &consumed);
-        if (consumed != reg.size() - 2 || base >= 256) {
-          meta_fail(raw, "malformed prologue register");
-        }
-        k.prologue = true;
-        k.param_reg_base = static_cast<std::uint32_t>(base);
-      } catch (const Error&) {
-        throw;
-      } catch (const std::exception&) {
-        meta_fail(raw, "malformed prologue register");
-      }
-    } else if (word == ".window") {
-      std::string at;
-      if (!(in >> at) || at.size() < 2 || at[0] != '@') {
-        meta_fail(raw, ".window needs an @pc");
-      }
-      k.window_refs.push_back(at_number(at, raw));
     } else if (word == ".ref") {
       std::string at, token;
       if (!(in >> at >> token) || at.size() < 2 || at[0] != '@') {

@@ -70,17 +70,6 @@ struct KernelInfo {
   std::vector<ParamRef> refs;
   std::vector<Footprint> reads;
   std::vector<Footprint> writes;
-  /// Loader prologue (`.prologue %rN`): the assembler injected a sequence
-  /// at the kernel entry that loads every declared parameter from the
-  /// device's parameter window into registers [param_reg_base,
-  /// param_reg_base + params.size()), and `$name` is legal in register
-  /// operand positions. `window_refs` lists the pc's whose immediate must
-  /// hold the parameter-window base address -- a device constant, patched
-  /// once per cached module image, so argument rebinds of a pure-prologue
-  /// kernel (no `$param` immediates) never touch I-MEM.
-  bool prologue = false;
-  std::uint32_t param_reg_base = 0;
-  std::vector<std::uint32_t> window_refs;
 
   /// Did the kernel declare any read/write footprints? (If not, staging
   /// falls back to the conservative restage-everything-stale path.)

@@ -211,29 +211,6 @@ std::string scale_abi() {
          "exit\n";
 }
 
-std::string scale_prologue_abi() {
-  // The prologue (entry-injected by the assembler) loads in/out/mul/add
-  // into %r8..%r11 from the parameter window; buffer addresses are formed
-  // with register adds instead of $param immediates, so the assembled
-  // image has zero relocation sites and stays launch-invariant.
-  return ".kernel scale\n"
-         ".param in buffer\n"
-         ".param out buffer\n"
-         ".param mul scalar\n"
-         ".param add scalar\n"
-         ".prologue %r8\n"
-         ".reads in@tid\n"
-         ".writes out@tid\n"
-         "movsr %r0, %tid\n"
-         "add %r1, %r0, $in\n"
-         "lds %r2, [%r1]\n"
-         "mul.lo %r2, %r2, $mul\n"
-         "add %r2, %r2, $add\n"
-         "add %r1, %r0, $out\n"
-         "sts [%r1], %r2\n"
-         "exit\n";
-}
-
 std::string reduce_abi(unsigned per_thread) {
   const unsigned shift = log2_exact(per_thread, "reduce chunk");
   std::string src =

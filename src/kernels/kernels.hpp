@@ -72,15 +72,6 @@ std::string fir_abi(unsigned taps, unsigned q);
 /// expects.
 std::string scale_abi();
 
-/// out[i] = mul * in[i] + add, computed through the loader prologue
-/// (`.prologue %r8`): the parameters are materialized from the device's
-/// parameter window into registers at kernel entry and addressed with
-/// register arithmetic, so the assembled image carries NO `$param`
-/// immediate relocations -- it is fully launch-invariant, and rebinding
-/// arguments never re-patches or reloads I-MEM. Kernel "scale"; params
-/// (in, out: buffer; mul, add: scalar). Bit-identical to scale_abi().
-std::string scale_prologue_abi();
-
 /// Chunked partial-sum reduction: thread t writes
 /// out[t] = sum_j in[t * per_thread + j] for j in [0, per_thread)
 /// (per_thread a power of two; launch with n / per_thread threads over n

@@ -5,9 +5,8 @@
 // (word base + size) and scalar immediates -- in declaration order at launch
 // time, the cuLaunchKernel parameter model. The runtime loader patches the
 // bound values into the module's `$param` relocation sites (no re-assembly,
-// so the module cache hits across argument sets), records them in the
-// device's parameter window, and feeds the declared footprints into the
-// multicore staging shard maps.
+// so the module cache hits across argument sets) and feeds the declared
+// footprints into the multicore staging shard maps.
 #pragma once
 
 #include <cstdint>

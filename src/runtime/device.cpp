@@ -726,43 +726,17 @@ LaunchPlan Device::prepare_launch(const Kernel& kernel, unsigned threads,
   // The I-MEM image depends on the binding only when this kernel has
   // relocation sites to patch; everything else shares the pristine image
   // (signature 0), so switching entries in one resident module stays free.
-  plan.has_params = kernel.info != nullptr && !args.empty();
-  plan.patches = plan.has_params && !kernel.info->refs.empty();
+  const bool has_params = kernel.info != nullptr && !args.empty();
+  plan.patches = has_params && !kernel.info->refs.empty();
   plan.sig = plan.patches ? kernel.entry ^ args.signature() : 0;
   plan.alloc_gen = alloc_gen_;
-  if (plan.has_params) {
-    if (mem_words() <= kParamWindowWords) {
-      throw Error("device memory too small for the parameter window");
-    }
-    const std::uint32_t window = param_window_base();
-    if (pool_.used() > window) {
-      throw Error(
-          "parameter-window collision: " + std::to_string(pool_.used()) +
-          " words are allocated but kernel-ABI launches need the top " +
-          std::to_string(kParamWindowWords) + " words (above " +
-          std::to_string(window) + ") free");
-    }
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      const auto& v = args.values()[i];
-      if (v.kind == core::KernelParam::Kind::Buffer &&
-          static_cast<std::uint64_t>(v.value) + v.size > window) {
-        throw Error("argument '" + kernel.info->params[i].name +
-                    "' overlaps the parameter window at word " +
-                    std::to_string(window));
-      }
-    }
-    if (kernel.info->has_footprints()) {
-      auto& fp = plan.footprint;
-      fp.declared = true;
-      add_footprints(fp.reads, fp.sliced_reads, kernel.info->reads, args,
-                     threads, mem_words(), *kernel.info);
-      add_footprints(fp.writes, fp.sliced_writes, kernel.info->writes, args,
-                     threads, mem_words(), *kernel.info);
-      // The parameter window itself is launch input: keep it in the read
-      // set so multicore staging ships the fresh binding to the cores.
-      fp.reads.insert(window,
-                      window + static_cast<std::uint32_t>(args.size()));
-    }
+  if (has_params && kernel.info->has_footprints()) {
+    auto& fp = plan.footprint;
+    fp.declared = true;
+    add_footprints(fp.reads, fp.sliced_reads, kernel.info->reads, args,
+                   threads, mem_words(), *kernel.info);
+    add_footprints(fp.writes, fp.sliced_writes, kernel.info->writes, args,
+                   threads, mem_words(), *kernel.info);
   }
   return plan;
 }
@@ -822,17 +796,6 @@ LaunchStats Device::execute_plan(const LaunchPlan& plan) {
     resident_ = kernel.module;
     resident_sig_ = plan.sig;
   }
-  if (plan.has_params) {
-    // Record the binding in the parameter window (word i = argument i) --
-    // the launch's argument block, visible to host tooling and device
-    // code alike.
-    std::vector<std::uint32_t> window_words;
-    window_words.reserve(args.size());
-    for (const auto& v : args.values()) {
-      window_words.push_back(v.value);
-    }
-    backend_->write_words(param_window_base(), window_words);
-  }
   LaunchStats stats =
       backend_->launch(kernel.entry, plan.threads, plan.footprint);
   // Single-engine backends stage through the host interface before the
@@ -864,20 +827,6 @@ std::shared_ptr<const core::DecodedImage> Device::image_for(
   }
   ++decode_misses_;
   auto image = backend_->build_image(module->program());
-  // Prologue kernels address the parameter window by its base, a device
-  // constant: patch it into the cached image once, here, so binding a new
-  // argument set to a pure-prologue kernel (signature 0, no $param
-  // immediates) never derives a fresh image or reloads I-MEM.
-  std::vector<std::pair<std::uint32_t, std::int32_t>> window_patches;
-  for (const auto& k : module->program().kernels()) {
-    for (const auto pc : k.window_refs) {
-      window_patches.emplace_back(
-          pc, static_cast<std::int32_t>(param_window_base()));
-    }
-  }
-  if (!window_patches.empty()) {
-    image = core::DecodedImage::patched(*image, window_patches);
-  }
   images_.emplace(module, image);
   return image;
 }

@@ -161,11 +161,11 @@ struct SlicedFootprint {
 /// When `declared` is false (legacy kernels, or kernels without footprint
 /// directives), staging falls back to the conservative restage-everything
 /// path. `reads`/`writes` hold the whole-launch (thread-independent)
-/// ranges, including the parameter window; per-thread declarations land in
-/// `sliced_reads`/`sliced_writes` and are expanded per thread slice.
+/// ranges; per-thread declarations land in `sliced_reads`/`sliced_writes`
+/// and are expanded per thread slice.
 struct LaunchFootprint {
   bool declared = false;
-  RangeSet reads;   ///< words the kernel may load (incl. the param window)
+  RangeSet reads;   ///< words the kernel may load
   RangeSet writes;  ///< words the kernel may store
   std::vector<SlicedFootprint> sliced_reads;
   std::vector<SlicedFootprint> sliced_writes;
@@ -361,9 +361,8 @@ struct LaunchPlan {
   Kernel kernel{};
   unsigned threads = 0;
   KernelArgs args{};
-  bool has_params = false;  ///< binds arguments (param window is written)
-  bool patches = false;     ///< kernel has `$param` sites to patch
-  std::uint64_t sig = 0;    ///< resident-binding signature (entry ^ args)
+  bool patches = false;   ///< kernel has `$param` sites to patch
+  std::uint64_t sig = 0;  ///< resident-binding signature (entry ^ args)
   LaunchFootprint footprint{};
   /// Device::allocation_generation() when the plan was prepared: a
   /// mem_reset() since then invalidates any bound buffer bases, and
@@ -472,19 +471,17 @@ class Device {
 
   /// Launch with bound arguments (the kernel ABI path). The loader patches
   /// the kernel's `$param` relocation sites with the bound values -- a
-  /// handful of immediate words, not a re-assembly -- records the binding
-  /// in the device's parameter window, and derives the launch footprint
-  /// from the declared `.reads`/`.writes` so multicore staging ships only
-  /// the declared input ranges. Throws simt::Error on an argument set that
-  /// does not match the kernel's parameter list.
+  /// handful of immediate words, not a re-assembly -- and derives the
+  /// launch footprint from the declared `.reads`/`.writes` so multicore
+  /// staging ships only the declared input ranges. Throws simt::Error on
+  /// an argument set that does not match the kernel's parameter list.
   LaunchStats launch_sync(const Kernel& kernel, unsigned threads,
                           const KernelArgs& args);
 
   // ---- pre-resolved launch plans (the execution-graph path) ---------------
   /// Validate and resolve a launch once: argument checks, the relocation
-  /// patch plan signature, the parameter-window collision check, and the
-  /// absolute staging footprint. Throws simt::Error on anything
-  /// launch_sync would reject.
+  /// patch plan signature, and the absolute staging footprint. Throws
+  /// simt::Error on anything launch_sync would reject.
   LaunchPlan prepare_launch(const Kernel& kernel, unsigned threads,
                             const KernelArgs& args) const;
   /// Re-derive only the argument-dependent pieces of a plan for a new
@@ -492,18 +489,9 @@ class Device {
   /// sites stay frozen. Throws on an argument set the kernel rejects.
   void rebind(LaunchPlan& plan, KernelArgs args) const;
   /// Execute a prepared plan: patch + reload the I-MEM only if the
-  /// resident binding differs, record the parameter window, run the grid,
-  /// and roll wall-clock up -- the body launch_sync runs after preparing.
+  /// resident binding differs, run the grid, and roll wall-clock up -- the
+  /// body launch_sync runs after preparing.
   LaunchStats execute_plan(const LaunchPlan& plan);
-
-  /// Reserved words at the top of device memory where each param launch's
-  /// bound values land (word i = argument i), observable by the host and
-  /// by device code. Buffers must stay below param_window_base() when a
-  /// kernel with parameters is launched.
-  static constexpr unsigned kParamWindowWords = 32;
-  std::uint32_t param_window_base() const {
-    return mem_words() - kParamWindowWords;
-  }
 
   /// The asynchronous command scheduler every stream feeds.
   Scheduler& scheduler() { return *scheduler_; }

@@ -375,5 +375,16 @@ TEST(AssemblerAbi, DirectiveDiagnostics) {
                "expected '+' or '-'");
 }
 
+TEST(AssemblerAbi, ParametersBindOnlyAsImmediates) {
+  // Relocation patching is the one binding mechanism: there is no loader
+  // directive, and a $parameter never stands in for a register.
+  expect_error(".kernel k\n.param a buffer\n.prologue %r8\nexit\n",
+               "unknown directive: .prologue");
+  expect_error(".kernel k\n.param a buffer\nadd %r1, %r0, $a\nexit\n",
+               "expected a register, got parameter '$a'");
+  expect_error(".kernel k\n.param a buffer\nlds %r1, [$a]\nexit\n",
+               "expected a register, got parameter '$a'");
+}
+
 }  // namespace
 }  // namespace simt::assembler

@@ -1,5 +1,5 @@
 // Tests for the kernel ABI: assembler metadata directives, launch-time
-// argument binding (the loader patch + parameter window), footprint-driven
+// argument binding (the loader's relocation patch), footprint-driven
 // multicore staging, module-cache hit accounting, host-thread-safe stream /
 // batch submission, and scalar-backend entry points.
 #include <gtest/gtest.h>
@@ -171,31 +171,51 @@ TEST(KernelAbi, BatchQueueArgsMustBindTheQueueBuffers) {
                 KernelArgs().arg(in).arg(out).scalar(2).scalar(0));
 }
 
-TEST(KernelAbi, ParamWindowCollisionThrows) {
-  // A buffer bound into (or allocated over) the reserved window is refused.
-  Device dev(DeviceDescriptor::simt_core(small_cfg(64, 256)));
-  auto a = dev.alloc<std::uint32_t>(64);
-  auto b = dev.alloc<std::uint32_t>(64);
-  auto c = dev.alloc<std::uint32_t>(64);
-  Module& mod = dev.load_module(kernels::vecadd_abi());
-  const auto kernel = mod.kernel("vecadd");
-  dev.launch_sync(kernel, 16, KernelArgs().arg(a).arg(b).arg(c));
+TEST(KernelAbi, BuffersMayFillDeviceMemoryToTheTop) {
+  // ABI launches reserve no device memory: with the arena allocated up to
+  // mem_words() and the output buffer in the top 32 words, vecadd runs and
+  // writes the golden sums on every backend.
+  constexpr unsigned kWords = 256;
+  constexpr unsigned kN = 32;
+  const DeviceDescriptor descs[] = {
+      DeviceDescriptor::simt_core(small_cfg(64, kWords)),
+      DeviceDescriptor::multi_core(2, small_cfg(64, kWords)),
+      DeviceDescriptor::scalar_cpu(scalar_cfg(kWords)),
+  };
+  for (const auto& desc : descs) {
+    Device dev(desc);
+    ASSERT_EQ(dev.mem_words(), kWords);
+    auto a = dev.alloc<std::uint32_t>(kN);
+    auto b = dev.alloc<std::uint32_t>(kN);
+    dev.alloc<std::uint32_t>(kWords - 3 * kN);
+    auto c = dev.alloc<std::uint32_t>(kN);
+    ASSERT_EQ(c.word_base() + kN, kWords);
+    ASSERT_EQ(dev.mem().available(), 0u);
 
-  // 224..256 is the window on a 256-word device; filling the arena up to
-  // it makes the next ABI launch throw.
-  dev.alloc<std::uint32_t>(256 - 192 - Device::kParamWindowWords + 1);
-  EXPECT_THROW(dev.launch_sync(kernel, 16, KernelArgs().arg(a).arg(b).arg(c)),
-               Error);
+    std::vector<std::uint32_t> ha(kN), hb(kN);
+    for (unsigned i = 0; i < kN; ++i) {
+      ha[i] = 5 * i + 2;
+      hb[i] = 900 + 3 * i;
+    }
+    a.write(ha);
+    b.write(hb);
+    Module& mod = dev.load_module(kernels::vecadd_abi());
+    dev.launch_sync(mod.kernel("vecadd"), kN,
+                    KernelArgs().arg(a).arg(b).arg(c));
+    const auto got = c.read();
+    for (unsigned i = 0; i < kN; ++i) {
+      ASSERT_EQ(got[i], ha[i] + hb[i])
+          << dev.backend_name() << " word " << c.word_base() + i;
+    }
+  }
 }
 
-// ---- parameter window + differential across backends -----------------------
+// ---- differential across backends ------------------------------------------
 
-/// Launch vecadd + saxpy (ABI kernels) on one device; return the outputs
-/// and the observed parameter window.
+/// Launch vecadd + saxpy (ABI kernels) on one device; return the outputs.
 struct AbiDifferential {
   std::vector<std::uint32_t> vecadd;
   std::vector<std::int32_t> saxpy;
-  std::vector<std::uint32_t> window;
 };
 
 AbiDifferential run_abi_differential(Device& dev, unsigned n) {
@@ -235,14 +255,10 @@ AbiDifferential run_abi_differential(Device& dev, unsigned n) {
   stream.copy_out(c, std::span<std::uint32_t>(result.vecadd));
   stream.copy_out(out, std::span<std::int32_t>(result.saxpy));
   stream.synchronize();
-
-  // The last launch's binding is recorded in the parameter window.
-  result.window.resize(4);
-  dev.read_words(dev.param_window_base(), result.window);
   return result;
 }
 
-TEST(KernelAbi, ParamWindowLaunchesAgreeOnEveryBackend) {
+TEST(KernelAbi, AbiLaunchesAgreeOnEveryBackend) {
   constexpr unsigned kN = 192;  // not a multiple of the core sizes below
 
   Device core_dev(DeviceDescriptor::simt_core(small_cfg(256, 2048)));
@@ -267,12 +283,6 @@ TEST(KernelAbi, ParamWindowLaunchesAgreeOnEveryBackend) {
   EXPECT_EQ(multi.saxpy, core.saxpy);
   EXPECT_EQ(scalar.vecadd, core.vecadd);
   EXPECT_EQ(scalar.saxpy, core.saxpy);
-
-  // Window word i = argument i of the last (saxpy) launch: x, y, out
-  // buffer bases (identical allocation order on every backend) and alpha.
-  EXPECT_EQ(core.window, multi.window);
-  EXPECT_EQ(core.window, scalar.window);
-  EXPECT_EQ(core.window[3], static_cast<std::uint32_t>(3 << 14));
 }
 
 // ---- footprint-driven staging ----------------------------------------------
@@ -358,8 +368,8 @@ TEST(FootprintStaging, DeclaredReadSetsStageFewerWordsThanConservative) {
 
 TEST(FootprintStaging, ExtentLimitsTheDeclaredRange) {
   // A kernel that declares it reads only the first 8 words of its input:
-  // staging a 2-core launch ships at most those 8 (+ window + output)
-  // words per core even though the whole buffer went stale.
+  // staging a 2-core launch ships at most those 8 (+ output) words per
+  // core even though the whole buffer went stale.
   Device dev(DeviceDescriptor::multi_core(2, small_cfg(16, 1024)));
   auto in = dev.alloc<std::uint32_t>(256);
   auto out = dev.alloc<std::uint32_t>(16);
@@ -385,7 +395,7 @@ TEST(FootprintStaging, ExtentLimitsTheDeclaredRange) {
     ASSERT_EQ(out.at(i), host[i % 8]) << i;
   }
   // Conservative would have staged 256 words per core; the declared read
-  // set keeps it to the 8 input words (plus the fresh parameter window).
+  // set keeps it to the 8 input words.
   EXPECT_GT(stats.staged_words_skipped, 0u);
   EXPECT_LT(stats.staged_words, 2u * 64u);
 }
@@ -427,8 +437,8 @@ TEST(FootprintStaging, PerThreadSlicesStagePerCoreSlices) {
   const auto sliced = run(true);
   const auto whole = run(false);
   // Whole-launch ships ~kN input words to each of the 2 cores; sliced
-  // ships each core ~its half. (Exact counts include the param window and
-  // RangeSet burst coalescing, so compare, don't pin.)
+  // ships each core ~its half. (Exact counts include RangeSet burst
+  // coalescing, so compare, don't pin.)
   EXPECT_LT(sliced, whole);
   EXPECT_LT(sliced, kN + kN / 2 + 64);
   EXPECT_GE(whole, 2u * kN);
@@ -645,6 +655,26 @@ TEST(KernelMetadata, SidecarTextRoundTrips) {
   }
   const auto parsed = core::parse_kernel_metadata(lines);
   EXPECT_EQ(parsed, program.kernels());
+}
+
+TEST(KernelMetadata, SidecarRejectsLoaderPrologueForms) {
+  // An image assembled with the retired loader prologue carries a window
+  // base MOVI that nothing patches any more; loading it would compute with
+  // base 0. Its sidecar must be refused, not silently accepted.
+  const std::vector<std::string> header = {"# .kernel scale @0",
+                                           "# .param in buffer"};
+  for (const std::string line : {"# .prologue %r8", "# .window @0"}) {
+    auto lines = header;
+    lines.push_back(line);
+    try {
+      core::parse_kernel_metadata(lines);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown directive"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
