@@ -1,21 +1,22 @@
-// Async pipeline: serve a queue of small requests with request batching
+// Async pipeline: serve a queue of small requests with request coalescing
 // and two ping-ponged streams -- the production-traffic shape the runtime
 // is built for.
 //
-// A BatchQueue coalesces several requests into ONE sharded grid launch
-// (one copy-in, one launch, one copy-out instead of one each per request),
-// and alternating two streams over disjoint staging buffers lets batch
-// N+1's copy-in overlap batch N's execution on the scheduler's modeled
-// engines -- double-buffered staging. The scheduler timeline at the end
-// shows the modeled gain over executing every command back to back.
+// Each batch of requests is coalesced into ONE sharded grid launch (one
+// copy-in, one launch over every request's threads, one copy-out instead
+// of one each per request), and alternating two streams over disjoint
+// staging buffers lets batch N+1's copy-in overlap batch N's execution on
+// the scheduler's modeled engines -- double-buffered staging. The scheduler
+// timeline at the end shows the modeled gain over executing every command
+// back to back.
 //
 // Build & run:  ./example_async_pipeline
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "kernels/kernels.hpp"
-#include "runtime/batch.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/device.hpp"
 #include "runtime/scheduler.hpp"
@@ -43,38 +44,46 @@ int main() {
   auto out_b = dev.alloc<std::uint32_t>(kRequestWords * kBatch, 16);
 
   // Elementwise request kernel: out[tid] = 5 * in[tid] + 1. ONE module
-  // serves both ping-pong queues -- the kernel ABI binds each queue's
-  // staging buffers (and the scale/offset scalars) at flush time, so the
-  // source is assembled once no matter how many queues serve it.
+  // serves both ping-pong streams -- the kernel ABI binds each stream's
+  // staging buffers (and the scale/offset scalars) at launch time, so the
+  // source is assembled once no matter how many buffer sets it serves.
   auto& mod = dev.load_module(kernels::scale_abi());
   const auto kernel = mod.kernel("scale");
 
-  runtime::BatchQueue queue_a(
-      stream_a, kernel, in_a, out_a, kRequestWords,
-      runtime::KernelArgs().arg(in_a).arg(out_a).scalar(5).scalar(1));
-  runtime::BatchQueue queue_b(
-      stream_b, kernel, in_b, out_b, kRequestWords,
-      runtime::KernelArgs().arg(in_b).arg(out_b).scalar(5).scalar(1));
-
-  // Submit the request traffic: batches alternate between the two queues,
-  // so the scheduler can stage one batch while the other executes.
-  std::vector<runtime::BatchQueue::Ticket> tickets(kRequests);
-  for (unsigned r = 0; r < kRequests; ++r) {
-    std::vector<std::uint32_t> request(kRequestWords);
-    for (unsigned i = 0; i < kRequestWords; ++i) {
-      request[i] = r * 1000 + i;
+  // Serve the request traffic: batch b carries requests [b*kBatch,
+  // b*kBatch + n) as one copy-in of their concatenated inputs, one launch
+  // over n * kRequestWords threads (request j owns the j-th kRequestWords
+  // tids), and one copy-out into its slice of the host results. Batches
+  // alternate between the two streams, so the scheduler can stage one
+  // batch while the other executes.
+  std::vector<std::uint32_t> results(kRequests * kRequestWords);
+  unsigned batches = 0;
+  for (unsigned first = 0; first < kRequests; first += kBatch) {
+    const unsigned n = std::min(kBatch, kRequests - first);
+    const bool on_a = batches % 2 == 0;
+    auto& stream = on_a ? stream_a : stream_b;
+    auto& in = on_a ? in_a : in_b;
+    auto& out = on_a ? out_a : out_b;
+    std::vector<std::uint32_t> batch_in(n * kRequestWords);
+    for (unsigned j = 0; j < n; ++j) {
+      for (unsigned i = 0; i < kRequestWords; ++i) {
+        batch_in[j * kRequestWords + i] = (first + j) * 1000 + i;
+      }
     }
-    auto& queue = (r / kBatch) % 2 == 0 ? queue_a : queue_b;
-    tickets[r] = queue.submit(std::span<const std::uint32_t>(request));
+    stream.copy_in(in, std::span<const std::uint32_t>(batch_in));
+    stream.launch(kernel, n * kRequestWords,
+                  runtime::KernelArgs().arg(in).arg(out).scalar(5).scalar(1));
+    stream.copy_out(out, std::span<std::uint32_t>(
+                             results.data() + first * kRequestWords,
+                             n * kRequestWords));
+    ++batches;
   }
-  queue_a.flush();
-  queue_b.flush();
   stream_a.synchronize();
   stream_b.synchronize();
 
   // Validate every request's slice of the batched results.
   for (unsigned r = 0; r < kRequests; ++r) {
-    const auto result = tickets[r].result();
+    const std::uint32_t* result = results.data() + r * kRequestWords;
     for (unsigned i = 0; i < kRequestWords; ++i) {
       const std::uint32_t want = 5 * (r * 1000 + i) + 1;
       if (result[i] != want) {
@@ -85,12 +94,10 @@ int main() {
     }
   }
 
-  const auto batches = queue_a.stats().batches + queue_b.stats().batches;
-  const auto saved = queue_a.stats().launches_saved() +
-                     queue_b.stats().launches_saved();
   const auto t = dev.scheduler().timeline();
   std::printf("served %u requests in %u coalesced launches "
-              "(%u launches saved)\n", kRequests, batches, saved);
+              "(%u launches saved)\n", kRequests, batches,
+              kRequests - batches);
   std::printf("one shared module: %llu assembly, %llu cache hits\n",
               static_cast<unsigned long long>(dev.module_cache_misses()),
               static_cast<unsigned long long>(dev.module_cache_hits()));

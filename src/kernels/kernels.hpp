@@ -3,8 +3,10 @@
 // algorithms that are "difficult to program in RTL, but easy in software").
 //
 // Each generator returns assembly source for the two-pass assembler; the
-// memory layout is word-addressed shared memory. All kernels are validated
-// against golden references in tests/test_kernels.cpp.
+// memory layout is word-addressed shared memory. The fixed-address kernels
+// are validated against golden references in tests/test_kernels.cpp; the
+// *_abi generators are checked in tests/test_kernel_abi.cpp,
+// tests/test_fast_path.cpp and tests/test_graph.cpp.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +70,8 @@ std::string saxpy_abi(unsigned q);
 std::string fir_abi(unsigned taps, unsigned q);
 
 /// out[i] = mul * in[i] + add. Kernel "scale"; params (in, out: buffer;
-/// mul, add: scalar) -- the elementwise request-serving shape BatchQueue
-/// expects.
+/// mul, add: scalar) -- elementwise over %tid, so k requests of m words
+/// coalesce into one launch over k*m threads.
 std::string scale_abi();
 
 /// Chunked partial-sum reduction: thread t writes

@@ -30,11 +30,8 @@ struct EventState {
   /// The event was recorded while its stream was capturing into a Graph:
   /// it names a graph node, not a scheduled command, and never resolves.
   /// Waiting on it throws; Stream::wait treats it as already satisfied by
-  /// the capture order. `capture_graph` identifies the owning capture --
-  /// and is also set (with `captured` false) on the Event a graph replay
-  /// returns, naming the Graph the executable came from, so consumers can
-  /// pair captured handles with replays of the same graph (pointer
-  /// identity only; never dereferenced).
+  /// the capture order. `capture_graph` identifies the owning capture
+  /// (pointer identity only; never dereferenced).
   bool captured = false;
   const void* capture_graph = nullptr;
   /// For captured events: the index of the graph node this event names.
@@ -99,13 +96,6 @@ class Event {
   /// wait()/stats() on it throw. Launch the instantiated graph and use
   /// the Event GraphExec::launch returns instead.
   bool captured() const { return state_ && state_->captured; }
-
-  /// Identity of the graph this event is tied to: the Graph captured into
-  /// (captured events) or instantiated from (replay events); null for
-  /// ordinary stream events. Pointer identity only -- never dereference.
-  const void* graph_identity() const {
-    return state_ ? state_->capture_graph : nullptr;
-  }
 
   /// Block until the scheduler has executed this launch; rethrows the
   /// command's error if it faulted (every time -- a failed event stays

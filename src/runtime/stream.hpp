@@ -14,7 +14,7 @@
 //
 // Submission is host-thread-safe: the stream's command bookkeeping is
 // guarded by a mutex, so any number of host worker threads can enqueue on
-// one stream (a server front-end feeding a BatchQueue). Commands still
+// one stream (server worker threads sharing a device). Commands still
 // execute in submission order; which thread wins a race decides that order.
 //
 // Capture mode (begin_capture / end_capture): between the two calls the

@@ -1,8 +1,7 @@
 // Tests for execution graphs: stream capture, instantiate-time validation,
 // composite replay (one scheduler command per replay), per-replay argument
-// and payload rebinding, capture-mode error cases, BatchQueue flushes into
-// a capture, and the buffer use-after-reset hardening the graph refactor
-// rides along with.
+// and payload rebinding, capture-mode error cases, and the buffer
+// use-after-reset hardening the graph refactor rides along with.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +16,6 @@
 #include "common/error.hpp"
 #include "common/faults.hpp"
 #include "kernels/kernels.hpp"
-#include "runtime/batch.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/device.hpp"
 #include "runtime/graph.hpp"
@@ -370,73 +368,6 @@ TEST(GraphReplay, ReplaysAsOneSchedulerCommand) {
                           2 * HostCost::kCopyPrepUs +
                           launch_prep_us(4, 4, 2);
   EXPECT_LT(replay_us, eager_us);
-}
-
-// ---- batch queue capture ----------------------------------------------------
-
-TEST(GraphReplay, BatchQueueFlushCapturesIntoGraph) {
-  constexpr unsigned kReqWords = 8;
-  constexpr unsigned kRequests = 3;
-  Device dev(DeviceDescriptor::simt_core(small_cfg()));
-  auto in = dev.alloc<std::uint32_t>(kReqWords * 4);
-  auto out = dev.alloc<std::uint32_t>(kReqWords * 4);
-  const auto scale = dev.load_module(kernels::scale_abi()).kernel("scale");
-  auto& stream = dev.stream();
-  BatchQueue queue(stream, scale, in, out, kReqWords,
-                   KernelArgs().arg(in).arg(out).scalar(2).scalar(1));
-
-  std::vector<BatchQueue::Ticket> tickets;
-  for (unsigned r = 0; r < kRequests; ++r) {
-    std::vector<std::uint32_t> request(kReqWords);
-    for (unsigned i = 0; i < kReqWords; ++i) {
-      request[i] = r * 100 + i;
-    }
-    tickets.push_back(queue.submit(std::span<const std::uint32_t>(request)));
-  }
-
-  // The flush records the whole batch pipeline as graph nodes.
-  Graph graph;
-  stream.begin_capture(graph);
-  Event flushed = queue.flush();
-  stream.end_capture();
-  EXPECT_TRUE(flushed.captured());
-  EXPECT_EQ(graph.launch_count(), 1u);
-  EXPECT_EQ(graph.copy_in_count(), 1u);
-  EXPECT_FALSE(tickets[0].done());  // captured: never resolves on its own
-
-  auto exec = graph.instantiate();
-  Event replay = exec.launch(stream);
-  replay.wait();
-  for (unsigned r = 0; r < kRequests; ++r) {
-    const auto result = tickets[r].result_after(replay);
-    for (unsigned i = 0; i < kReqWords; ++i) {
-      ASSERT_EQ(result[i], 2 * (r * 100 + i) + 1) << r << " " << i;
-    }
-  }
-
-  // Replay the captured batch against fresh inputs (the serving shape).
-  std::vector<std::uint32_t> fresh(kRequests * kReqWords);
-  std::iota(fresh.begin(), fresh.end(), 1000u);
-  Event replay2 =
-      exec.launch(stream, GraphUpdates().copy_in(0, fresh));
-  replay2.wait();
-  const auto result = tickets[0].result_after(replay2);
-  for (unsigned i = 0; i < kReqWords; ++i) {
-    ASSERT_EQ(result[i], 2 * fresh[i] + 1) << i;
-  }
-
-  // result_after refuses events that are not replays of THIS capture's
-  // graph: an ordinary stream event, and a replay of some other graph.
-  Event marker = stream.record();
-  stream.synchronize();
-  EXPECT_THROW(tickets[0].result_after(marker), Error);
-  Graph other_graph;
-  stream.begin_capture(other_graph);
-  stream.record();
-  stream.end_capture();
-  Event other_replay = other_graph.instantiate().launch(stream);
-  other_replay.wait();
-  EXPECT_THROW(tickets[0].result_after(other_replay), Error);
 }
 
 // ---- DAG capture ------------------------------------------------------------
@@ -1038,6 +969,13 @@ TEST(BufferGeneration, FrozenGraphReplayAfterResetThrows) {
   Event stale_replay = exec.launch(stream);
   EXPECT_THROW(stale_replay.wait(), Error);  // execute_plan refused
   EXPECT_THROW(stream.synchronize(), Error);  // sticky stream error too
+  // The faulted replay surfaces on its non-blocking handles as well: it
+  // has resolved, reads failed() and never done(), and rethrow_if_failed()
+  // throws the fault instead of waiting.
+  EXPECT_TRUE(stale_replay.resolved());
+  EXPECT_TRUE(stale_replay.failed());
+  EXPECT_FALSE(stale_replay.done());
+  EXPECT_THROW(stale_replay.rethrow_if_failed(), Error);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the kernel ABI: assembler metadata directives, launch-time
 // argument binding (the loader's relocation patch), footprint-driven
-// multicore staging, module-cache hit accounting, host-thread-safe stream /
-// batch submission, and scalar-backend entry points.
+// multicore staging, module-cache hit accounting, host-thread-safe stream
+// submission, and scalar-backend entry points.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "kernels/kernels.hpp"
 #include "runtime/args.hpp"
-#include "runtime/batch.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/device.hpp"
 #include "runtime/module.hpp"
@@ -146,29 +145,6 @@ TEST(KernelAbi, InteriorLabelsCarryTheKernelMetadata) {
   // is 0 and the store lands at out[0] -- with the $out base patched in.
   dev.launch_sync(mod.kernel("inner"), 16, KernelArgs().arg(out));
   EXPECT_EQ(out.at(0), 9u);
-}
-
-TEST(KernelAbi, BatchQueueArgsMustBindTheQueueBuffers) {
-  Device dev(DeviceDescriptor::simt_core(small_cfg(64, 4096)));
-  auto in = dev.alloc<std::uint32_t>(64);
-  auto out = dev.alloc<std::uint32_t>(64);
-  auto other = dev.alloc<std::uint32_t>(64);
-  Module& mod = dev.load_module(kernels::scale_abi());
-  const auto kernel = mod.kernel("scale");
-  // Arguments pointing the kernel at a different buffer than the queue
-  // stages through would silently serve garbage -- refused up front.
-  EXPECT_THROW(BatchQueue(dev.stream(), kernel, in, out, 16,
-                          KernelArgs().arg(other).arg(out)
-                              .scalar(2).scalar(0)),
-               Error);
-  // Swapped direction: scale declares .reads in / .writes out, so binding
-  // the queue's out buffer to the read parameter is refused too.
-  EXPECT_THROW(BatchQueue(dev.stream(), kernel, in, out, 16,
-                          KernelArgs().arg(out).arg(in)
-                              .scalar(2).scalar(0)),
-               Error);
-  BatchQueue ok(dev.stream(), kernel, in, out, 16,
-                KernelArgs().arg(in).arg(out).scalar(2).scalar(0));
 }
 
 TEST(KernelAbi, BuffersMayFillDeviceMemoryToTheTop) {
@@ -549,50 +525,6 @@ TEST(ConcurrentSubmit, WorkerThreadsShareOneStream) {
   for (unsigned t = 0; t < kThreads; ++t) {
     for (unsigned i = 0; i < kN; ++i) {
       ASSERT_EQ(results[t][i], 2 * (t * 1000 + i) + t) << t << " " << i;
-    }
-  }
-}
-
-TEST(ConcurrentSubmit, WorkerThreadsShareOneBatchQueue) {
-  constexpr unsigned kWorkers = 4;
-  constexpr unsigned kPerWorker = 6;
-  constexpr unsigned kReqWords = 16;
-  Device dev(DeviceDescriptor::simt_core(small_cfg(64, 4096)));
-  auto in = dev.alloc<std::uint32_t>(kReqWords * 8);
-  auto out = dev.alloc<std::uint32_t>(kReqWords * 8);
-  Module& mod = dev.load_module(kernels::scale_abi());
-  BatchQueue queue(dev.stream(), mod.kernel("scale"), in, out, kReqWords,
-                   KernelArgs().arg(in).arg(out).scalar(5).scalar(1));
-
-  std::vector<std::vector<BatchQueue::Ticket>> tickets(kWorkers);
-  std::vector<std::thread> workers;
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&, w] {
-      for (unsigned r = 0; r < kPerWorker; ++r) {
-        std::vector<std::uint32_t> request(kReqWords);
-        for (unsigned i = 0; i < kReqWords; ++i) {
-          request[i] = w * 10000 + r * 100 + i;
-        }
-        tickets[w].push_back(
-            queue.submit(std::span<const std::uint32_t>(request)));
-      }
-    });
-  }
-  for (auto& worker : workers) {
-    worker.join();
-  }
-  queue.flush();
-  dev.stream().synchronize();
-
-  EXPECT_EQ(queue.stats().requests, kWorkers * kPerWorker);
-  EXPECT_GT(queue.stats().launches_saved(), 0u);
-  for (unsigned w = 0; w < kWorkers; ++w) {
-    for (unsigned r = 0; r < kPerWorker; ++r) {
-      const auto result = tickets[w][r].result();
-      for (unsigned i = 0; i < kReqWords; ++i) {
-        ASSERT_EQ(result[i], 5 * (w * 10000 + r * 100 + i) + 1)
-            << w << " " << r << " " << i;
-      }
     }
   }
 }
