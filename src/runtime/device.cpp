@@ -184,61 +184,27 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
   RangeSet merged_prev;
 
   // ---- parallel staging plumbing ----
-  // Cores [0, stage_workers_) run their physical copy-in on their own
-  // persistent dispatch workers, queued ahead of the round's run job (the
-  // per-worker FIFO is the only ordering needed), so one core's staging
-  // overlaps sibling cores' staging and execution in real wall time. With
-  // a declared footprint the same workers also prefetch the next round's
-  // predictable stage set behind the current run job, overlapping the
-  // *previous* round's compute. Everything here is physical data movement
-  // only: the shard-map bookkeeping, staged-word counts, and modeled
-  // RoundCosts above are computed on the submitting thread exactly as in
-  // the serial (stage_workers == 0) path, so the modeled timeline is
-  // bit-identical either way.
-  std::vector<RangeSet> prefetched(num_cores);  ///< shipped ahead, per core
+  // In a pooled round, cores [0, stage_workers_) run their physical
+  // copy-in on their own persistent dispatch workers, queued ahead of the
+  // round's run job (the per-worker FIFO is the only ordering needed), so
+  // one core's staging overlaps sibling cores' staging and execution in
+  // real wall time. Everything here is physical data movement only: the
+  // shard-map bookkeeping, staged-word counts, and modeled RoundCosts are
+  // computed on the submitting thread whichever thread copies, so the
+  // modeled timeline is bit-identical either way.
   std::vector<double> stage_us(num_cores, 0.0);
   std::vector<std::exception_ptr> stage_errors(num_cores);
   // Stage jobs capture references into this frame: never leave it with
-  // jobs still queued (finish_run drains on the normal path; this guard
-  // covers a throwing merge or bookkeeping step).
+  // jobs still queued (run() drains on the normal path; this guard covers
+  // a throwing post).
   struct DrainGuard {
     system::MultiCoreSystem& sys;
     ~DrainGuard() { sys.drain(); }
   } drain_guard{sys_};
-  const auto post_stage = [&](unsigned c, RangeSet set) {
-    sys_.post(c, [this, c, &stage_us, &stage_errors, set = std::move(set)] {
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        faults::SiteOutcome bend;
-        if (faults_) {
-          bend = faults_->at(faults::FaultSite::Staging);
-        }
-        auto& gpu = sys_.core(c);
-        bool first = true;
-        for (const auto& r : set.ranges()) {
-          if (first && bend.corrupt && r.words() > 0) {
-            // Corrupt the staged copy, never the master image: flip one
-            // bit of a local duplicate of the first range and ship that.
-            std::vector<std::uint32_t> bent(master_.data() + r.lo,
-                                            master_.data() + r.lo +
-                                                r.words());
-            bent[bend.corrupt_word % bent.size()] ^= bend.corrupt_mask;
-            gpu.write_shared_span(
-                r.lo, std::span<const std::uint32_t>(bent.data(),
-                                                     bent.size()));
-          } else {
-            gpu.write_shared_span(
-                r.lo, std::span<const std::uint32_t>(master_.data() + r.lo,
-                                                     r.words()));
-          }
-          first = false;
-        }
-      } catch (...) {
-        stage_errors[c] = std::current_exception();
-      }
-      stage_us[c] += host_us_since(t0);
-    });
-  };
+  // Predicted host work of a round is its staged words plus threads x
+  // decoded image length; both are known before anything is posted.
+  const auto& image = sys_.core(0).image();
+  const std::uint64_t image_len = image ? image->size() : 0;
 
   unsigned done = 0;
   while (done < threads) {
@@ -255,6 +221,8 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
     // then shard the grid by %tid base.
     std::vector<system::Dispatch> dispatches;
     std::vector<unsigned> slice_lo(num_cores, 0);  ///< per-core %tid base
+    std::vector<RangeSet> to_copy(num_cores);  ///< physical copies per core
+    std::uint64_t round_words = 0;
     unsigned base = done;
     for (unsigned c = 0; c < cores_used; ++c) {
       if (sizes[c] == 0) {
@@ -268,30 +236,12 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
             slice_ranges(footprint.sliced_writes, base, base + sizes[c]));
         touched = union_sets(touched, sliced);
       }
-      const RangeSet to_stage =
-          footprint.declared ? intersect_sets(stale_[c], touched)
-                             : std::move(stale_[c]);
+      RangeSet& to_stage = to_copy[c];
+      to_stage = footprint.declared ? intersect_sets(stale_[c], touched)
+                                    : std::move(stale_[c]);
       const std::uint64_t staged = to_stage.words();
       const std::uint64_t late = overlap_words(to_stage, merged_prev);
-      // Physical copy: skip whatever a prefetch job already shipped (the
-      // prefetched set is always a subset of this round's to_stage and was
-      // copied from an identical master image). The logical accounting
-      // above still covers the full to_stage set.
-      RangeSet to_copy = prefetched[c].empty()
-                             ? to_stage
-                             : subtract_sets(to_stage, prefetched[c]);
-      prefetched[c].clear();
-      if (c < stage_workers_) {
-        post_stage(c, std::move(to_copy));
-      } else {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (const auto& r : to_copy.ranges()) {
-          gpu.write_shared_span(
-              r.lo, std::span<const std::uint32_t>(master_.data() + r.lo,
-                                                   r.words()));
-        }
-        stage_us[c] += host_us_since(t0);
-      }
+      round_words += staged;
       if (footprint.declared) {
         stale_[c] = subtract_sets(stale_[c], to_stage);
         skipped[c] = union_sets(skipped[c], stale_[c]);
@@ -311,54 +261,25 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
       base += sizes[c];
     }
 
-    auto pending = sys_.begin_run(dispatches);
-
-    // Cross-round prefetch (declared footprints only): the next round's
-    // structure is deterministic, so each staging worker can ship its
-    // core's predictable stage set behind this round's run job -- the copy
-    // executes while slower sibling cores are still running. Excluded is
-    // everything any core may write this round: those master words can
-    // change in the coming merge (and are exactly what the merge adds to
-    // the shard maps), so they are the data-dependent "late" staging the
-    // pipeline model charges after the merge. What remains is a subset of
-    // the next round's to_stage with a merge-invariant master value, which
-    // is why the skip in the physical copy above is exact.
-    if (stage_workers_ > 0 && footprint.declared &&
-        done + round_total < threads) {
-      RangeSet writable_now = footprint.writes;
-      for (const auto& d : dispatches) {
-        writable_now = union_sets(
-            writable_now,
-            slice_ranges(footprint.sliced_writes, slice_lo[d.core],
-                         slice_lo[d.core] + d.threads));
-      }
-      const unsigned next_done = done + round_total;
-      const unsigned next_total = std::min(threads - next_done, capacity);
-      const unsigned next_cores = std::min(num_cores, next_total);
-      const auto next_sizes = balanced_split(next_total, next_cores);
-      unsigned next_base = next_done;
-      for (unsigned c = 0; c < next_cores; ++c) {
-        const unsigned lo = next_base;
-        const unsigned hi = next_base + next_sizes[c];
-        next_base = hi;
-        if (next_sizes[c] == 0 || c >= stage_workers_) {
-          continue;
-        }
-        const RangeSet next_touched = union_sets(
-            touched_static,
-            union_sets(slice_ranges(footprint.sliced_reads, lo, hi),
-                       slice_ranges(footprint.sliced_writes, lo, hi)));
-        RangeSet pre = subtract_sets(intersect_sets(stale_[c], next_touched),
-                                     writable_now);
-        if (pre.empty()) {
-          continue;
-        }
-        prefetched[c] = pre;
-        post_stage(c, std::move(pre));
+    // Small rounds stage and run every core on this thread: the pool's
+    // per-core hand-offs would cost more than the cores' work. Larger
+    // rounds stage cores [0, stage_workers_) on their own workers, FIFO
+    // ahead of the run job, and the rest here.
+    const bool inline_round =
+        round_words + std::uint64_t{round_total} * image_len <
+        inline_round_work_;
+    for (const auto& d : dispatches) {
+      const unsigned c = d.core;
+      if (inline_round || c >= stage_workers_) {
+        stage_core(c, to_copy[c], stage_us[c], stage_errors[c]);
+      } else {
+        sys_.post(c, [this, c, &stage_us, &stage_errors,
+                      set = std::move(to_copy[c])] {
+          stage_core(c, set, stage_us[c], stage_errors[c]);
+        });
       }
     }
-
-    const auto res = sys_.finish_run(pending);
+    const auto res = sys_.run(dispatches, inline_round);
     for (const auto& e : stage_errors) {
       if (e) {
         std::rethrow_exception(e);
@@ -463,15 +384,6 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
       }
     }
     merged_prev = std::move(merged_now);
-    // Belt and braces: a prefetched word that did get merged carries a
-    // stale value now -- drop it so the next round's physical copy
-    // restages it. By construction (prefetch excludes the round's writable
-    // set) this subtraction is a no-op.
-    for (unsigned c = 0; c < num_cores; ++c) {
-      if (!prefetched[c].empty()) {
-        prefetched[c] = subtract_sets(prefetched[c], merged_prev);
-      }
-    }
     out.host_merge_us += host_us_since(merge_t0);
 
     round_costs.push_back(std::move(costs));
@@ -502,6 +414,38 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
   }
   out.host_wall_us = host_us_since(launch_t0);
   return out;
+}
+
+void MultiCoreBackend::stage_core(unsigned c, const RangeSet& set,
+                                  double& us, std::exception_ptr& err) {
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    faults::SiteOutcome bend;
+    if (faults_) {
+      bend = faults_->at(faults::FaultSite::Staging);
+    }
+    auto& gpu = sys_.core(c);
+    bool first = true;
+    for (const auto& r : set.ranges()) {
+      if (first && bend.corrupt && r.words() > 0) {
+        // Corrupt the staged copy, never the master image: flip one bit
+        // of a local duplicate of the first range and ship that.
+        std::vector<std::uint32_t> bent(master_.data() + r.lo,
+                                        master_.data() + r.lo + r.words());
+        bent[bend.corrupt_word % bent.size()] ^= bend.corrupt_mask;
+        gpu.write_shared_span(
+            r.lo, std::span<const std::uint32_t>(bent.data(), bent.size()));
+      } else {
+        gpu.write_shared_span(
+            r.lo, std::span<const std::uint32_t>(master_.data() + r.lo,
+                                                 r.words()));
+      }
+      first = false;
+    }
+  } catch (...) {
+    err = std::current_exception();
+  }
+  us += host_us_since(t0);
 }
 
 void MultiCoreBackend::read_words(std::uint32_t base,

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -60,12 +61,13 @@ struct DeviceDescriptor {
   /// MultiCore only: how many cores run their per-round shard staging on
   /// their own persistent dispatch workers (capped at num_cores; the
   /// default offloads every core). A staged core's copy-in overlaps
-  /// sibling cores' staging and execution in *real* simulator wall time,
-  /// and with a declared footprint the workers also prefetch the next
-  /// round's read set behind the current run. 0 pins the serial reference
-  /// path: every copy runs on the submitting thread (simt-run
-  /// --stage-workers). Purely physical -- the modeled timeline, staged-
-  /// word accounting, and all results are bit-identical either way.
+  /// sibling cores' staging and execution in *real* simulator wall time.
+  /// 0 pins the serial reference path: every copy runs on the submitting
+  /// thread (simt-run --stage-workers). Applies to pooled rounds; a round
+  /// small enough to run inline (MultiCoreBackend::kInlineRoundWork)
+  /// stages every core on the launching thread. Purely physical -- the
+  /// modeled timeline, staged-word accounting, and all results are
+  /// bit-identical either way.
   static constexpr unsigned kAllStageWorkers = ~0u;
   unsigned stage_workers = kAllStageWorkers;
   /// Optional deterministic fault plan (common/faults.hpp). Null (the
@@ -279,19 +281,42 @@ class MultiCoreBackend final : public DeviceBackend {
 
   system::MultiCoreSystem& system() { return sys_; }
 
+  /// Rounds whose predicted host work -- the words the round stages plus
+  /// its threads times the decoded image length -- is below this run
+  /// inline: every core stages and executes on the launching thread, core
+  /// after core. Larger rounds post per-core stage and run jobs to the
+  /// dispatch workers. Measured on a 4-vCPU host (4 cores, Release): a
+  /// pooled round pays ~15 us of hand-offs and lost to the inline round at
+  /// every size measured below 64K (1.1-5.9x slower); above it the two
+  /// converge (1.04-1.2x at 84K-211K), so staging-heavy rounds keep the
+  /// pool and whatever real parallelism the host has.
+  static constexpr std::uint64_t kInlineRoundWork = 64 * 1024;
+  /// Override the inline threshold on this backend: 0 pools every round,
+  /// ~0 inlines every round. Lets tests and benches pin either path over
+  /// the same launch sequence; results are identical either way.
+  void set_inline_round_work(std::uint64_t work) { inline_round_work_ = work; }
+
  private:
+  /// Copy `set` from the master image into core `c`'s private image: the
+  /// one staging body, called on the launching thread or posted to the
+  /// core's dispatch worker. Consults the Staging fault site once per call;
+  /// time spent adds to `us` and a failure is captured into `err`.
+  void stage_core(unsigned c, const RangeSet& set, double& us,
+                  std::exception_ptr& err);
+
   system::MultiCoreSystem sys_;
   std::vector<std::uint32_t> master_;  ///< host-coherent memory image
   /// Per-core shard map: master words this core's private image is stale
   /// on (host writes and sibling cores' merged output shards).
   std::vector<RangeSet> stale_;
   double staging_words_per_cycle_;
-  /// Cores [0, stage_workers_) stage (and prefetch) on their own dispatch
-  /// workers; the rest stage serially on the submitting thread. See
-  /// DeviceDescriptor::stage_workers.
+  /// In pooled rounds, cores [0, stage_workers_) stage on their own
+  /// dispatch workers; the rest stage serially on the submitting thread.
+  /// See DeviceDescriptor::stage_workers.
   unsigned stage_workers_;
   /// The device's fault plan (Staging site); null = no injection.
   std::shared_ptr<faults::FaultInjector> faults_;
+  std::uint64_t inline_round_work_ = kInlineRoundWork;  ///< see setter
 };
 
 /// Backend wrapping the scalar soft-CPU baseline. A grid launch is emulated

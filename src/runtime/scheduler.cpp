@@ -66,9 +66,23 @@ void Scheduler::run(Command cmd, std::vector<Ticket> deps,
 
 void Scheduler::wait(Ticket t) {
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this, t] {
-    return completed_.load(std::memory_order_relaxed) >= t;
-  });
+  // A waiter that would only sleep until the executor wakes runs the
+  // commands it waits for itself: the same pop + execute() the executor
+  // loop does, so ticket order, pricing, fault sites, a pause and
+  // completion publication are unchanged. Commands behind `t` stay queued
+  // for the executor.
+  while (completed_.load(std::memory_order_relaxed) < t) {
+    if (front_ready() && queue_.front().ticket <= t) {
+      Node node = std::move(queue_.front());
+      queue_.pop_front();
+      execute(node, lock);
+    } else {
+      done_cv_.wait(lock);
+    }
+  }
+  if (front_ready()) {
+    work_cv_.notify_all();  // hand the executor what queued behind us
+  }
 }
 
 void Scheduler::wait_all() {

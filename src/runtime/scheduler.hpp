@@ -6,7 +6,9 @@
 // A caller that would only wait for the result anyway (a serving worker
 // replaying a graph) can instead run a command on its own thread through
 // run(): same ticket order, same pricing, same fault sites and completion
-// publication, minus the handoff to the executor and back.
+// publication, minus the handoff to the executor and back. A thread
+// blocked in wait() does the same for commands already queued: it executes
+// the ready front itself up to the ticket it waits for.
 // Commands carry dependency tickets (same-stream ordering, cross-stream
 // Event waits); the in-process executor runs commands in submission order,
 // which trivially satisfies those dependencies and keeps multi-stream
@@ -160,6 +162,9 @@ class Scheduler {
            const std::function<void(Ticket)>& reserved);
 
   /// Block until ticket `t` has executed (t == 0 returns immediately).
+  /// While a queued command at or before `t` is next in ticket order (and
+  /// the scheduler is not paused) the caller executes it, exactly as the
+  /// executor would, instead of sleeping until the executor wakes.
   /// Errors are reported through the command's stream error slot and
   /// event, not here -- see Stream::synchronize() and Event::wait().
   void wait(Ticket t);

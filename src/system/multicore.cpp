@@ -43,12 +43,8 @@ void MultiCoreSystem::load_kernel(unsigned core, std::string_view source) {
   cores_.at(core).load_program(assembler::assemble(source));
 }
 
-SystemRunResult MultiCoreSystem::run(const std::vector<Dispatch>& dispatches) {
-  return finish_run(begin_run(dispatches));
-}
-
-std::shared_ptr<PendingRun> MultiCoreSystem::begin_run(
-    const std::vector<Dispatch>& dispatches) {
+SystemRunResult MultiCoreSystem::run(const std::vector<Dispatch>& dispatches,
+                                     bool inline_round) {
   std::set<unsigned> seen;
   for (const auto& d : dispatches) {
     if (d.core >= cores_.size()) {
@@ -60,55 +56,57 @@ std::shared_ptr<PendingRun> MultiCoreSystem::begin_run(
     }
   }
 
-  // The cores are independent hardware; simulate them concurrently on the
-  // persistent per-core dispatch workers. A faulting core (e.g. an
-  // out-of-bounds store) must not tear down the process from a worker
-  // thread, so exceptions are captured and the first one rethrown on the
-  // caller after every core has settled. The jobs share ownership of the
-  // pending record, so the storage they write outlives any caller frame.
-  auto pending = std::make_shared<PendingRun>();
-  pending->dispatches = dispatches;
-  pending->per_core.resize(dispatches.size());
-  pending->host_us.resize(dispatches.size(), 0.0);
-  pending->errors.resize(dispatches.size());
-  for (std::size_t i = 0; i < dispatches.size(); ++i) {
-    pool_.post(dispatches[i].core, [this, pending, i] {
-      const auto& d = pending->dispatches[i];
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        auto& gpu = cores_[d.core];
-        gpu.set_thread_count(d.threads);
-        pending->per_core[i] = gpu.run(d.entry);
-      } catch (...) {
-        pending->errors[i] = std::current_exception();
+  // The cores are independent hardware; a pooled round simulates them
+  // concurrently on the persistent per-core dispatch workers. A faulting
+  // core (e.g. an out-of-bounds store) must not tear down the process from
+  // a worker thread, so the body captures its exception and the first one
+  // is rethrown here after every core has settled -- on both paths, so a
+  // fault surfaces the same way inline or pooled.
+  SystemRunResult res;
+  res.per_core.resize(dispatches.size());
+  res.host_us.resize(dispatches.size(), 0.0);
+  std::vector<std::exception_ptr> errors(dispatches.size());
+  const auto run_dispatch = [&](std::size_t i) {
+    const auto& d = dispatches[i];
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      auto& gpu = cores_[d.core];
+      gpu.set_thread_count(d.threads);
+      res.per_core[i] = gpu.run(d.entry);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+    res.host_us[i] = std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+  };
+  {
+    // Posted jobs reference this frame: drain before leaving it, also if a
+    // post throws.
+    struct DrainGuard {
+      common::WorkerPool& pool;
+      ~DrainGuard() { pool.drain(); }
+    } drain_guard{pool_};
+    for (std::size_t i = 0; i < dispatches.size(); ++i) {
+      if (inline_round) {
+        run_dispatch(i);
+      } else {
+        pool_.post(dispatches[i].core, [&run_dispatch, i] { run_dispatch(i); });
       }
-      pending->host_us[i] =
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-    });
+    }
   }
-  return pending;
-}
-
-SystemRunResult MultiCoreSystem::finish_run(
-    const std::shared_ptr<PendingRun>& pending) {
-  pool_.drain();
-  for (const auto& e : pending->errors) {
+  for (const auto& e : errors) {
     if (e) {
       std::rethrow_exception(e);
     }
   }
 
-  SystemRunResult res;
-  res.per_core = std::move(pending->per_core);
-  res.host_us = std::move(pending->host_us);
   for (const auto& r : res.per_core) {
     res.max_cycles = std::max(res.max_cycles, r.perf.cycles);
   }
   // Wall clock at the realized frequency of this system size (Table 2).
   SystemConfig effective = cfg_;
-  effective.num_cores = static_cast<unsigned>(pending->dispatches.size());
+  effective.num_cores = static_cast<unsigned>(dispatches.size());
   res.wall_us =
       static_cast<double>(res.max_cycles) / effective.clock_mhz();
   return res;

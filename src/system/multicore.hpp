@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -68,16 +67,6 @@ struct SystemRunResult {
   }
 };
 
-/// A round in flight: results and captured exceptions for dispatches whose
-/// run jobs are queued on the per-core workers. shared_ptr-owned so the
-/// jobs keep the storage alive however the caller sequences finish_run.
-struct PendingRun {
-  std::vector<Dispatch> dispatches;
-  std::vector<core::RunResult> per_core;
-  std::vector<double> host_us;
-  std::vector<std::exception_ptr> errors;
-};
-
 class MultiCoreSystem {
  public:
   explicit MultiCoreSystem(SystemConfig cfg);
@@ -101,23 +90,19 @@ class MultiCoreSystem {
   void load_image_all(std::shared_ptr<const core::DecodedImage> image);
 
   /// Launch the given dispatches concurrently (each core at most once) and
-  /// account wall-clock at the realized system clock. Each core has a
-  /// persistent dispatch worker, so a round costs a queue push per core
-  /// rather than a thread spawn. Throws simt::Error on duplicate core ids;
-  /// a core that faults mid-kernel rethrows here after every core settled.
-  SystemRunResult run(const std::vector<Dispatch>& dispatches);
-
-  /// The split form of run() for callers that interleave their own work
-  /// with a round: begin_run validates the dispatches and queues one run
-  /// job per core (FIFO behind anything already posted to that core's
-  /// worker -- the ordering hook parallel staging rides on), and
-  /// finish_run drains the pool, rethrows the first captured fault, and
-  /// rolls the round up. Between the two the caller may post more jobs
-  /// (e.g. next-round prefetch copies that overlap sibling cores' still-
-  /// running kernels in real wall-clock time).
-  std::shared_ptr<PendingRun> begin_run(
-      const std::vector<Dispatch>& dispatches);
-  SystemRunResult finish_run(const std::shared_ptr<PendingRun>& pending);
+  /// account wall-clock at the realized system clock. Throws simt::Error on
+  /// duplicate core ids; a core that faults mid-kernel rethrows here after
+  /// every core settled. A pooled round posts one run job per core to that
+  /// core's persistent dispatch worker (FIFO behind anything already posted
+  /// there -- the ordering hook parallel staging rides on) and sleeps in
+  /// drain() until every worker is idle: a queue push, a worker wake-up and
+  /// a drain wake-up per core, tens of microseconds of host time. An
+  /// `inline_round` runs the same per-dispatch body on the calling thread
+  /// instead, core after core, for rounds too small to repay those
+  /// hand-offs (runtime::MultiCoreBackend decides which). Results are
+  /// identical either way.
+  SystemRunResult run(const std::vector<Dispatch>& dispatches,
+                      bool inline_round = false);
 
   /// Queue an arbitrary job on core `i`'s persistent worker (FIFO per
   /// core). Jobs must not throw -- capture and re-raise at the call site.

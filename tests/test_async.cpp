@@ -1,11 +1,16 @@
 // Tests for the asynchronous execution engine: the device scheduler and its
-// modeled copy/exec timeline, multi-stream execution with cross-stream
-// event waits, Event hardening, the multicore shard-map staging path,
+// modeled copy/exec timeline, waiters that execute their own queued
+// commands, multi-stream execution with cross-stream event waits, Event
+// hardening, the multicore shard-map staging path,
 // grid-split edge cases on every backend, and MemoryPool alignment.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -103,6 +108,175 @@ TEST(Scheduler, TimelineSerialBoundsOverlap) {
   // serial.
   EXPECT_LE(t.overlap_us, t.serial_us + 1e-9);
   EXPECT_GE(t.overlap_speedup(), 1.0);
+}
+
+// ---- waiters execute their own commands ------------------------------------
+
+/// Which thread ran each traced command, in execution order.
+struct ExecTrace {
+  std::mutex mutex;
+  std::vector<unsigned> order;
+  std::vector<std::thread::id> who;
+};
+
+/// A scheduler command that records its index and executing thread and
+/// prices like a copy (even i, alternating channels) or a launch (odd i).
+Scheduler::Command traced_command(ExecTrace& trace, unsigned i) {
+  Scheduler::Command cmd;
+  cmd.engine = i % 2 == 0 ? EngineKind::Copy : EngineKind::Exec;
+  cmd.channel = (i / 2) % 2;
+  cmd.words = i % 2 == 0 ? 16 + i : 0;
+  cmd.prep_us = 0.01 * i;
+  cmd.run = [&trace, i] {
+    std::lock_guard<std::mutex> lock(trace.mutex);
+    trace.order.push_back(i);
+    trace.who.push_back(std::this_thread::get_id());
+    return std::uint64_t{100 + 37 * i};
+  };
+  return cmd;
+}
+
+/// Submit `n` traced commands; every third one also depends on the one
+/// two tickets back, so the timeline's dependency lookups get exercised.
+Ticket submit_traced(Scheduler& sched, ExecTrace& trace, unsigned n) {
+  std::vector<Ticket> tickets;
+  for (unsigned i = 0; i < n; ++i) {
+    std::vector<Ticket> deps;
+    if (i % 3 == 2) {
+      deps.push_back(tickets[i - 2]);
+    }
+    tickets.push_back(sched.submit(traced_command(trace, i), deps));
+  }
+  return tickets.back();
+}
+
+void expect_timeline_eq(const TimelineStats& a, const TimelineStats& b) {
+  EXPECT_EQ(a.serial_us, b.serial_us);
+  EXPECT_EQ(a.overlap_us, b.overlap_us);
+  EXPECT_EQ(a.dispatch_us, b.dispatch_us);
+  EXPECT_EQ(a.copied_words, b.copied_words);
+  EXPECT_EQ(a.exec_cycles, b.exec_cycles);
+  EXPECT_EQ(a.commands, b.commands);
+  EXPECT_EQ(a.graph_replays, b.graph_replays);
+}
+
+TEST(WaiterExecution, PausedSchedulerHoldsABlockedWaiter) {
+  Device dev(DeviceDescriptor::simt_core(small_cfg()));
+  auto in = dev.alloc<std::uint32_t>(64);
+  auto out = dev.alloc<std::uint32_t>(64);
+  Module& mod = dev.load_module(affine_kernel(in.word_base(),
+                                              out.word_base()));
+  std::vector<std::uint32_t> host(64);
+  std::iota(host.begin(), host.end(), 0u);
+
+  auto& stream = dev.stream();
+  dev.scheduler().pause();
+  stream.copy_in(in, std::span<const std::uint32_t>(host));
+  Event event = stream.launch(mod.kernel(), 64);
+  std::atomic<bool> returned{false};
+  std::thread waiter([&] {
+    event.wait();
+    returned = true;
+  });
+  // The waiter blocks; a pause holds it exactly like the executor.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load());
+  EXPECT_FALSE(event.done());
+  EXPECT_EQ(dev.scheduler().timeline().commands, 0u);
+  EXPECT_EQ(dev.scheduler().retired(), 0u);
+
+  dev.scheduler().resume();
+  waiter.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_TRUE(event.done());
+  for (unsigned i = 0; i < 64; ++i) {
+    EXPECT_EQ(out.at(i), 3 * i + 7) << i;
+  }
+}
+
+TEST(WaiterExecution, WaiterRunsCommandsInTicketOrderWithTheSameTimeline) {
+  constexpr unsigned kCommands = 48;
+  // Reference: the executor alone drains the sequence (nobody waits; the
+  // retired watermark is polled instead).
+  TimelineStats reference;
+  {
+    Device dev(DeviceDescriptor::simt_core(small_cfg()));
+    ExecTrace trace;
+    const Ticket last = submit_traced(dev.scheduler(), trace, kCommands);
+    while (dev.scheduler().retired() < last) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    reference = dev.scheduler().timeline();
+    std::vector<unsigned> want(kCommands);
+    std::iota(want.begin(), want.end(), 0u);
+    EXPECT_EQ(trace.order, want);
+  }
+
+  // Queue the sequence on a paused scheduler, then resume and wait on the
+  // last ticket from this thread: the waiter takes the ready front itself.
+  // Which thread wins each command is a race with the executor, so retry
+  // until this thread has run at least one; every trial must keep ticket
+  // order and price the identical timeline.
+  unsigned ran_here = 0;
+  for (int trial = 0; trial < 20 && ran_here == 0; ++trial) {
+    Device dev(DeviceDescriptor::simt_core(small_cfg()));
+    ExecTrace trace;
+    dev.scheduler().pause();
+    const Ticket last = submit_traced(dev.scheduler(), trace, kCommands);
+    dev.scheduler().resume();
+    dev.scheduler().wait(last);
+
+    std::vector<unsigned> want(kCommands);
+    std::iota(want.begin(), want.end(), 0u);
+    ASSERT_EQ(trace.order, want) << "trial " << trial;
+    expect_timeline_eq(dev.scheduler().timeline(), reference);
+    // Only this thread and the executor ever run commands.
+    std::thread::id other;
+    for (const auto& id : trace.who) {
+      if (id == std::this_thread::get_id()) {
+        ++ran_here;
+      } else if (other == std::thread::id()) {
+        other = id;
+      } else {
+        EXPECT_EQ(id, other) << "trial " << trial;
+      }
+    }
+  }
+  EXPECT_GT(ran_here, 0u) << "the waiter never executed a queued command";
+}
+
+TEST(WaiterExecution, FaultRunByAWaiterSurfacesAndTheDeviceStaysUsable) {
+  bool ran_here = false;
+  for (int trial = 0; trial < 20 && !ran_here; ++trial) {
+    Device dev(DeviceDescriptor::simt_core(small_cfg(64, 256)));
+    Module& bad = dev.load_module(
+        "movi %r0, 9999\n"
+        "sts [%r0], %r0\n"
+        "exit\n");
+    Module& ok = dev.load_module("movi %r1, 5\nexit\n");
+
+    // A marker queued just ahead of the faulting launch: a waiter that
+    // ran the marker runs every ticket up to the one it waits for, since
+    // it keeps the scheduler lock from one completion to the next pop.
+    ExecTrace trace;
+    dev.scheduler().pause();
+    dev.scheduler().submit(traced_command(trace, 1));
+    Event failed = dev.stream().launch(bad.kernel(), 16);
+    dev.scheduler().resume();
+    EXPECT_THROW(failed.wait(), Error);
+    ran_here = trace.who.at(0) == std::this_thread::get_id();
+
+    // The fault landed on the event and on the stream's error slot.
+    EXPECT_TRUE(failed.failed());
+    EXPECT_FALSE(failed.done());
+    EXPECT_THROW(dev.stream().synchronize(), Error);
+    // The device stays usable: the sticky error was consumed.
+    Event fine = dev.stream().launch(ok.kernel(), 16);
+    fine.wait();
+    EXPECT_TRUE(fine.done());
+    EXPECT_NO_THROW(dev.stream().synchronize());
+  }
+  EXPECT_TRUE(ran_here) << "the waiter never executed the faulting launch";
 }
 
 // ---- event hardening -------------------------------------------------------

@@ -192,12 +192,26 @@ TEST(FaultSites, ReplaySiteFailsTheCompositeAndHeals) {
 }
 
 TEST(FaultSites, StagingSiteFiresOnMultiCoreAndIsSurvived) {
-  rt::Device dev(with_faults(rt::DeviceDescriptor::multi_core(2, small_cfg()),
-                             "staging:transient:limit=1"));
-  rt::Module& mod = dev.load_module("movi %r1, 1\nexit\n");
-  EXPECT_THROW(dev.launch_sync(mod.kernel(), 64), faults::TransientFault);
-  EXPECT_EQ(dev.fault_injector()->triggers(FaultSite::Staging), 2u);
-  EXPECT_NO_THROW(dev.launch_sync(mod.kernel(), 64));
+  // Every staging path consults the site once per dispatched core: the
+  // launching thread (an inline round, or serial staging with
+  // stage_workers = 0) and the dispatch workers (a pooled round).
+  for (const unsigned workers : {0u, rt::DeviceDescriptor::kAllStageWorkers}) {
+    for (const std::uint64_t work : {rt::MultiCoreBackend::kInlineRoundWork,
+                                     std::uint64_t{0}}) {
+      const std::string what = "stage_workers=" + std::to_string(workers) +
+                               " inline_round_work=" + std::to_string(work);
+      auto desc = rt::DeviceDescriptor::multi_core(2, small_cfg());
+      desc.stage_workers = workers;
+      rt::Device dev(with_faults(desc, "staging:transient:limit=1"));
+      dev.backend_as<rt::MultiCoreBackend>()->set_inline_round_work(work);
+      rt::Module& mod = dev.load_module("movi %r1, 1\nexit\n");
+      EXPECT_THROW(dev.launch_sync(mod.kernel(), 64), faults::TransientFault)
+          << what;
+      EXPECT_EQ(dev.fault_injector()->triggers(FaultSite::Staging), 2u)
+          << what;
+      EXPECT_NO_THROW(dev.launch_sync(mod.kernel(), 64)) << what;
+    }
+  }
 }
 
 // ---- corruption is caught by the three-backend differential -----------------
