@@ -5,10 +5,10 @@
 #include <cstdio>
 
 #include "area/resource_model.hpp"
-#include "asm/assembler.hpp"
 #include "common/table.hpp"
-#include "core/gpgpu.hpp"
 #include "kernels/kernels.hpp"
+#include "runtime/buffer.hpp"
+#include "runtime/device.hpp"
 
 int main() {
   using namespace simt;
@@ -30,11 +30,15 @@ int main() {
     cfg.predicates_enabled = false;
     const auto res = area::estimate(cfg, {});
 
-    core::Gpgpu gpu(cfg);
-    gpu.load_program(
-        assembler::assemble(kernels::vecadd(0, 1024, 2048)));
-    gpu.set_thread_count(std::min(threads, 1024u));
-    const auto run = gpu.run();
+    // a@0, b@1024, c@2048; the grid fits the core, so one round.
+    runtime::Device dev(runtime::DeviceDescriptor::simt_core(cfg));
+    const auto a = dev.alloc<std::uint32_t>(1024);
+    const auto b = dev.alloc<std::uint32_t>(1024);
+    const auto c = dev.alloc<std::uint32_t>(1024);
+    const auto run = dev.launch_sync(
+        dev.load_module(kernels::vecadd_abi()).kernel(),
+        std::min(threads, 1024u),
+        runtime::KernelArgs().arg(a).arg(b).arg(c));
 
     t.add_row({fmt_int(threads), fmt_int(regs),
                fmt_int(threads * regs), fmt_int(res.sp_other.m20k),

@@ -14,6 +14,7 @@
 
 #include "common/bench_json.hpp"
 #include "common/table.hpp"
+#include "kernels/kernels.hpp"
 #include "runtime/device.hpp"
 #include "runtime/stream.hpp"
 
@@ -44,16 +45,18 @@ runtime::DeviceDescriptor scalar_desc() {
   return runtime::DeviceDescriptor::scalar_cpu(cfg);
 }
 
-/// Run `src` with `threads` threads on the device the descriptor opens,
-/// staging `init` at address 0 and validating one output word.
+/// Run `src` with `threads` threads and `args` bound on the device the
+/// descriptor opens, staging `init` at address 0 and validating one output
+/// word.
 std::uint64_t run_on(const runtime::DeviceDescriptor& desc,
                      const std::string& src, unsigned threads,
+                     const runtime::KernelArgs& args,
                      const std::vector<std::uint32_t>& init,
                      std::uint32_t check_addr, std::uint32_t check_value) {
   runtime::Device dev(desc);
   dev.write_words(0, init);
   auto& module = dev.load_module(src);
-  const auto stats = dev.launch_sync(module.kernel(), threads);
+  const auto stats = dev.launch_sync(module.kernel(), threads, args);
   std::uint32_t got = 0;
   dev.read_words(check_addr, {&got, 1});
   if (!stats.exited || got != check_value) {
@@ -77,15 +80,11 @@ WorkloadResult vecadd() {
   // One source, two engines: the SIMT core sweeps the grid in hardware;
   // the scalar backend emulates the same launch as a software loop over
   // thread ids (how a Nios-class core would cover the work).
-  const std::string src =
-      "movsr %r0, %tid\n"
-      "lds %r1, [%r0]\n"
-      "lds %r2, [%r0 + 1024]\n"
-      "add %r3, %r1, %r2\n"
-      "sts [%r0 + 2048], %r3\n"
-      "exit\n";
-  return {run_on(simt_desc(), src, kN, init, 2048 + kN - 1, expect),
-          run_on(scalar_desc(), src, kN, init, 2048 + kN - 1, expect)};
+  const std::string src = kernels::vecadd_abi();
+  const auto args =
+      runtime::KernelArgs().buffer(0, kN).buffer(1024, kN).buffer(2048, kN);
+  return {run_on(simt_desc(), src, kN, args, init, 2048 + kN - 1, expect),
+          run_on(scalar_desc(), src, kN, args, init, 2048 + kN - 1, expect)};
 }
 
 // ---- FIR: y[i] = sum_k c[k] * x[i+k] >> 8; x@0, coeffs@3072, y@2048 -------
@@ -105,22 +104,13 @@ WorkloadResult fir() {
   }
   const auto expect = static_cast<std::uint32_t>(acc >> 8);
 
-  std::string src =
-      "movsr %r0, %tid\n"
-      "movi %r5, 3072\n"
-      "movi %r6, 0\n";
-  for (unsigned k = 0; k < kTaps; ++k) {
-    src += "lds %r2, [%r0 + " + std::to_string(k) + "]\n";
-    src += "lds %r3, [%r5 + " + std::to_string(k) + "]\n";
-    src += "mul.lo %r4, %r2, %r3\n";
-    src += "add %r6, %r6, %r4\n";
-  }
-  src +=
-      "sari %r6, %r6, 8\n"
-      "sts [%r0 + 2048], %r6\n"
-      "exit\n";
-  return {run_on(simt_desc(), src, kN, init, 2048 + kN - 1, expect),
-          run_on(scalar_desc(), src, kN, init, 2048 + kN - 1, expect)};
+  const std::string src = kernels::fir_abi(kTaps, 8);
+  const auto args = runtime::KernelArgs()
+                        .buffer(0, kN + kTaps)
+                        .buffer(3072, kTaps)
+                        .buffer(2048, kN);
+  return {run_on(simt_desc(), src, kN, args, init, 2048 + kN - 1, expect),
+          run_on(scalar_desc(), src, kN, args, init, 2048 + kN - 1, expect)};
 }
 
 // ---- 16x16 matmul: A@0, B@256, C@512 (row-major) --------------------------
@@ -139,27 +129,13 @@ WorkloadResult matmul() {
   }
   const auto expect = static_cast<std::uint32_t>(acc);
 
-  // Indexed by %tid (not %lane/%row) so the same source runs on both
-  // engines: i = tid / 16, j = tid % 16.
-  const std::string src =
-      "movsr %r0, %tid\n"
-      "andi %r1, %r0, 15\n"  // j
-      "shri %r2, %r0, 4\n"   // i
-      "shli %r3, %r2, 4\n"   // a index = i*16 (+k)
-      "mov %r4, %r1\n"       // b index = j (+16k)
-      "movi %r5, 0\n"
-      "loopi 16, kend\n"
-      "lds %r6, [%r3]\n"
-      "lds %r7, [%r4 + 256]\n"
-      "mul.lo %r8, %r6, %r7\n"
-      "add %r5, %r5, %r8\n"
-      "addi %r3, %r3, 1\n"
-      "addi %r4, %r4, 16\n"
-      "kend:\n"
-      "sts [%r0 + 512], %r5\n"
-      "exit\n";
-  return {run_on(simt_desc(), src, 256, init, 512 + 255, expect),
-          run_on(scalar_desc(), src, 256, init, 512 + 255, expect)};
+  // The library kernel indexes by %tid (not %lane/%row), so the same
+  // source runs on both engines: i = tid / 16, j = tid % 16.
+  const std::string src = kernels::matmul_abi(16);
+  const auto args =
+      runtime::KernelArgs().buffer(0, 256).buffer(256, 256).buffer(512, 256);
+  return {run_on(simt_desc(), src, 256, args, init, 512 + 255, expect),
+          run_on(scalar_desc(), src, 256, args, init, 512 + 255, expect)};
 }
 
 // ---- reduction: sum of 512 values -> mem[0] --------------------------------
@@ -175,16 +151,6 @@ WorkloadResult reduction() {
   // a scalar RISC does not have -- the scalar engine runs the classic
   // accumulate loop instead. This is the one workload where the sources
   // must differ.
-  std::string simt = "movsr %r0, %tid\n";
-  for (unsigned stride = kN / 2; stride >= 1; stride /= 2) {
-    simt += "setti " + std::to_string(stride) + "\n";
-    simt += "lds %r1, [%r0]\n";
-    simt += "lds %r2, [%r0 + " + std::to_string(stride) + "]\n";
-    simt += "add %r1, %r1, %r2\n";
-    simt += "sts [%r0], %r1\n";
-  }
-  simt += "exit\n";
-
   const std::string scalar =
       "movi %r1, 0\n"  // index
       "movi %r2, 0\n"  // acc
@@ -196,8 +162,9 @@ WorkloadResult reduction() {
       "movi %r1, 0\n"
       "sts [%r1], %r2\n"
       "exit\n";
-  return {run_on(simt_desc(), simt, kN, init, 0, expect),
-          run_on(scalar_desc(), scalar, 1, init, 0, expect)};
+  return {run_on(simt_desc(), kernels::tree_reduce_abi(kN), kN,
+                 runtime::KernelArgs().buffer(0, kN), init, 0, expect),
+          run_on(scalar_desc(), scalar, 1, {}, init, 0, expect)};
 }
 
 }  // namespace

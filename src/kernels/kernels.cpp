@@ -1,6 +1,7 @@
 #include "kernels/kernels.hpp"
 
 #include <bit>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -30,103 +31,6 @@ std::string qmul(const std::string& rd, const std::string& ra,
 }
 
 }  // namespace
-
-std::string vecadd(std::uint32_t a_base, std::uint32_t b_base,
-                   std::uint32_t c_base) {
-  return "movsr %r0, %tid\n"
-         "lds %r1, [%r0 + " + num(a_base) + "]\n"
-         "lds %r2, [%r0 + " + num(b_base) + "]\n"
-         "add %r3, %r1, %r2\n"
-         "sts [%r0 + " + num(c_base) + "], %r3\n"
-         "exit\n";
-}
-
-std::string saxpy(std::int32_t alpha_q, unsigned q, std::uint32_t x_base,
-                  std::uint32_t y_base, std::uint32_t out_base) {
-  SIMT_CHECK(q > 0 && q < 32);
-  return "movsr %r0, %tid\n"
-         "lds %r1, [%r0 + " + num(x_base) + "]\n"
-         "movi %r2, " + std::to_string(alpha_q) + "\n" +
-         qmul("%r3", "%r1", "%r2", "%r4", q) +
-         "lds %r5, [%r0 + " + num(y_base) + "]\n"
-         "add %r6, %r3, %r5\n"
-         "sts [%r0 + " + num(out_base) + "], %r6\n"
-         "exit\n";
-}
-
-std::string fir(unsigned taps, unsigned q, std::uint32_t x_base,
-                std::uint32_t coef_base, std::uint32_t y_base) {
-  SIMT_CHECK(taps >= 1 && q < 32);
-  std::string src =
-      "movsr %r0, %tid\n"
-      "movi %r5, " + num(coef_base) + "\n"
-      "movi %r6, 0\n";
-  for (unsigned k = 0; k < taps; ++k) {
-    src += "lds %r2, [%r0 + " + num(x_base + k) + "]\n";
-    src += "lds %r3, [%r5 + " + num(k) + "]\n";
-    src += "mul.lo %r4, %r2, %r3\n";
-    src += "add %r6, %r6, %r4\n";
-  }
-  if (q > 0) {
-    src += "sari %r6, %r6, " + num(q) + "\n";
-  }
-  src += "sts [%r0 + " + num(y_base) + "], %r6\n";
-  src += "exit\n";
-  return src;
-}
-
-std::string matmul(unsigned dim, std::uint32_t a_base, std::uint32_t b_base,
-                   std::uint32_t c_base) {
-  const unsigned lg = log2_exact(dim, "matmul dim");
-  return "movsr %r0, %tid\n"
-         "andi %r1, %r0, " + num(dim - 1) + "\n"   // j
-         "shri %r2, %r0, " + num(lg) + "\n"        // i
-         "shli %r3, %r2, " + num(lg) + "\n"        // a index = i*dim
-         "mov %r4, %r1\n"                          // b index = j
-         "movi %r5, 0\n"
-         "loopi " + num(dim) + ", kend\n"
-         "lds %r6, [%r3 + " + num(a_base) + "]\n"
-         "lds %r7, [%r4 + " + num(b_base) + "]\n"
-         "mul.lo %r8, %r6, %r7\n"
-         "add %r5, %r5, %r8\n"
-         "addi %r3, %r3, 1\n"
-         "addi %r4, %r4, " + num(dim) + "\n"
-         "kend:\n"
-         "sts [%r0 + " + num(c_base) + "], %r5\n"
-         "exit\n";
-}
-
-std::string tree_reduce_sum(std::uint32_t base, unsigned n) {
-  log2_exact(n, "reduction size");
-  std::string src = "movsr %r0, %tid\n";
-  for (unsigned stride = n / 2; stride >= 1; stride /= 2) {
-    src += "setti " + num(stride) + "\n";
-    src += "lds %r1, [%r0 + " + num(base) + "]\n";
-    src += "lds %r2, [%r0 + " + num(base + stride) + "]\n";
-    src += "add %r1, %r1, %r2\n";
-    src += "sts [%r0 + " + num(base) + "], %r1\n";
-  }
-  src += "exit\n";
-  return src;
-}
-
-std::string inclusive_scan(std::uint32_t base, unsigned n) {
-  log2_exact(n, "scan size");
-  // Hillis-Steele: for each offset d, x[t] += x[t-d] for t >= d. Lockstep
-  // guarantees every load of a step completes before its stores commit.
-  std::string src = "movsr %r0, %tid\n";
-  for (unsigned d = 1; d < n; d *= 2) {
-    src += "movi %r9, " + num(d) + "\n";
-    src += "setp.geu %p0, %r0, %r9\n";
-    src += "sub %r1, %r0, %r9\n";
-    src += "@p0 lds %r2, [%r1 + " + num(base) + "]\n";
-    src += "lds %r3, [%r0 + " + num(base) + "]\n";
-    src += "@p0 add %r3, %r3, %r2\n";
-    src += "@p0 sts [%r0 + " + num(base) + "], %r3\n";
-  }
-  src += "exit\n";
-  return src;
-}
 
 std::string vecadd_abi() {
   return ".kernel vecadd\n"
@@ -194,6 +98,33 @@ std::string fir_abi(unsigned taps, unsigned q) {
   return src;
 }
 
+std::string matmul_abi(unsigned dim) {
+  const unsigned lg = log2_exact(dim, "matmul dim");
+  return ".kernel matmul\n"
+         ".param a buffer\n"
+         ".param b buffer\n"
+         ".param c buffer\n"
+         ".reads a\n"
+         ".reads b\n"
+         ".writes c@tid\n"
+         "movsr %r0, %tid\n"
+         "andi %r1, %r0, " + num(dim - 1) + "\n"   // j
+         "shri %r2, %r0, " + num(lg) + "\n"        // i
+         "shli %r3, %r2, " + num(lg) + "\n"        // a index = i*dim
+         "mov %r4, %r1\n"                          // b index = j
+         "movi %r5, 0\n"
+         "loopi " + num(dim) + ", kend\n"
+         "lds %r6, [%r3 + $a]\n"
+         "lds %r7, [%r4 + $b]\n"
+         "mul.lo %r8, %r6, %r7\n"
+         "add %r5, %r5, %r8\n"
+         "addi %r3, %r3, 1\n"
+         "addi %r4, %r4, " + num(dim) + "\n"
+         "kend:\n"
+         "sts [%r0 + $c], %r5\n"
+         "exit\n";
+}
+
 std::string scale_abi() {
   return ".kernel scale\n"
          ".param in buffer\n"
@@ -234,9 +165,54 @@ std::string reduce_abi(unsigned per_thread) {
   return src;
 }
 
-std::string histogram(std::uint32_t data_base, std::uint32_t hist_base,
-                      std::uint32_t scratch_base, unsigned bins_log2,
-                      unsigned n, unsigned threads) {
+std::string tree_reduce_abi(unsigned n) {
+  log2_exact(n, "reduction size");
+  std::string src =
+      ".kernel tree_reduce\n"
+      ".param data buffer\n"
+      ".reads data\n"
+      ".writes data\n"
+      "movsr %r0, %tid\n";
+  for (unsigned stride = n / 2; stride >= 1; stride /= 2) {
+    src += "setti " + num(stride) + "\n";
+    src += "lds %r1, [%r0 + $data]\n";
+    src += "lds %r2, [%r0 + $data + " + num(stride) + "]\n";
+    src += "add %r1, %r1, %r2\n";
+    src += "sts [%r0 + $data], %r1\n";
+  }
+  src += "exit\n";
+  return src;
+}
+
+std::string scan_abi(unsigned n) {
+  log2_exact(n, "scan size");
+  // Hillis-Steele: for each offset d, x[t] += x[t-d] for t >= d. Lockstep
+  // guarantees every load of a step completes before its stores commit.
+  std::string src =
+      ".kernel scan\n"
+      ".param data buffer\n"
+      ".reads data\n"
+      ".writes data\n"
+      "movsr %r0, %tid\n";
+  for (unsigned d = 1; d < n; d *= 2) {
+    src += "movi %r9, " + num(d) + "\n";
+    src += "setp.geu %p0, %r0, %r9\n";
+    src += "sub %r1, %r0, %r9\n";
+    src += "@p0 lds %r2, [%r1 + $data]\n";
+    src += "lds %r3, [%r0 + $data]\n";
+    src += "@p0 add %r3, %r3, %r2\n";
+    src += "@p0 sts [%r0 + $data], %r3\n";
+  }
+  src += "exit\n";
+  return src;
+}
+
+std::string histogram_abi(unsigned bins_log2, unsigned n, unsigned threads) {
+  // bins <= threads <= 4096, so anything above 2^12 bins is out of range;
+  // checking first also keeps the shift below defined.
+  if (bins_log2 > 12) {
+    throw Error("histogram: bins_log2 must be at most 12");
+  }
   const unsigned bins = 1u << bins_log2;
   log2_exact(threads, "histogram threads");
   if (n % threads != 0) {
@@ -247,14 +223,25 @@ std::string histogram(std::uint32_t data_base, std::uint32_t hist_base,
   }
   const unsigned per_thread = n / threads;
 
-  // Phase 1: zero this thread's private bin row.
+  // Each scratch word is stored by the kernel before it is loaded, so the
+  // footprint declares scratch as written only.
   std::string src =
+      ".kernel histogram\n"
+      ".param data buffer\n"
+      ".param hist buffer\n"
+      ".param scratch buffer\n"
+      ".reads data\n"
+      ".writes hist\n"
+      ".writes scratch\n";
+
+  // Phase 1: zero this thread's private bin row.
+  src +=
       "movsr %r0, %tid\n"
       "shli %r1, %r0, " + num(bins_log2) + "\n"   // row = tid * bins
       "movi %r2, 0\n"
       "mov %r3, %r1\n"
       "loopi " + num(bins) + ", zero_end\n"
-      "sts [%r3 + " + num(scratch_base) + "], %r2\n"
+      "sts [%r3 + $scratch], %r2\n"
       "addi %r3, %r3, 1\n"
       "zero_end:\n";
 
@@ -262,12 +249,12 @@ std::string histogram(std::uint32_t data_base, std::uint32_t hist_base,
   src +=
       "muli %r4, %r0, " + num(per_thread) + "\n"
       "loopi " + num(per_thread) + ", acc_end\n"
-      "lds %r5, [%r4 + " + num(data_base) + "]\n"
+      "lds %r5, [%r4 + $data]\n"
       "andi %r5, %r5, " + num(bins - 1) + "\n"    // bin index
       "add %r6, %r1, %r5\n"
-      "lds %r7, [%r6 + " + num(scratch_base) + "]\n"
+      "lds %r7, [%r6 + $scratch]\n"
       "addi %r7, %r7, 1\n"
-      "sts [%r6 + " + num(scratch_base) + "], %r7\n"
+      "sts [%r6 + $scratch], %r7\n"
       "addi %r4, %r4, 1\n"
       "acc_end:\n";
 
@@ -279,10 +266,10 @@ std::string histogram(std::uint32_t data_base, std::uint32_t hist_base,
     src += "movi %r8, " + num(s * bins) + "\n";
     src += "add %r8, %r1, %r8\n";  // partner row cursor
     src += "loopi " + num(bins) + ", red_end_" + tag + "\n";
-    src += "lds %r5, [%r3 + " + num(scratch_base) + "]\n";
-    src += "lds %r6, [%r8 + " + num(scratch_base) + "]\n";
+    src += "lds %r5, [%r3 + $scratch]\n";
+    src += "lds %r6, [%r8 + $scratch]\n";
     src += "add %r5, %r5, %r6\n";
-    src += "sts [%r3 + " + num(scratch_base) + "], %r5\n";
+    src += "sts [%r3 + $scratch], %r5\n";
     src += "addi %r3, %r3, 1\n";
     src += "addi %r8, %r8, 1\n";
     src += "red_end_" + tag + ":\n";
@@ -291,8 +278,8 @@ std::string histogram(std::uint32_t data_base, std::uint32_t hist_base,
   // Phase 4: bins threads copy row 0 into the output histogram.
   src +=
       "setti " + num(bins) + "\n"
-      "lds %r5, [%r0 + " + num(scratch_base) + "]\n"
-      "sts [%r0 + " + num(hist_base) + "], %r5\n"
+      "lds %r5, [%r0 + $scratch]\n"
+      "sts [%r0 + $hist], %r5\n"
       "exit\n";
   return src;
 }

@@ -160,11 +160,11 @@ struct SlicedFootprint {
 
 /// Absolute device-memory footprint of one launch, derived from the
 /// kernel's declared `.reads`/`.writes` and the bound buffer arguments.
-/// When `declared` is false (legacy kernels, or kernels without footprint
-/// directives), staging falls back to the conservative restage-everything
-/// path. `reads`/`writes` hold the whole-launch (thread-independent)
-/// ranges; per-thread declarations land in `sliced_reads`/`sliced_writes`
-/// and are expanded per thread slice.
+/// When `declared` is false (kernels without footprint directives),
+/// staging falls back to the conservative restage-everything path.
+/// `reads`/`writes` hold the whole-launch (thread-independent) ranges;
+/// per-thread declarations land in `sliced_reads`/`sliced_writes` and are
+/// expanded per thread slice.
 struct LaunchFootprint {
   bool declared = false;
   RangeSet reads;   ///< words the kernel may load

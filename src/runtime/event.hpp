@@ -69,8 +69,6 @@ class Event {
   bool done() const {
     return state_ && state_->complete.load(std::memory_order_acquire);
   }
-  /// Legacy name for done().
-  bool complete() const { return done(); }
 
   /// Did the launch fault? (Non-blocking; implies the event will never
   /// complete.)

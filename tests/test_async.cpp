@@ -288,7 +288,6 @@ TEST(Event, AccessorsThrowWhileInFlightAndResolveAfter) {
   dev.scheduler().pause();
   Event event = dev.stream().launch(mod.kernel(), 16);
   EXPECT_FALSE(event.done());
-  EXPECT_FALSE(event.complete());
   EXPECT_THROW(event.stats(), Error);
   EXPECT_THROW(event.wall_us(), Error);
   EXPECT_THROW(event.elapsed_us(), Error);

@@ -4,10 +4,14 @@
 // reconfigurations of the same kernel.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "asm/assembler.hpp"
 #include "common/rng.hpp"
 #include "core/gpgpu.hpp"
 #include "kernels/kernels.hpp"
+#include "runtime/buffer.hpp"
+#include "runtime/device.hpp"
 
 namespace simt::core {
 namespace {
@@ -58,15 +62,18 @@ TEST(ConfigEquivalence, ShifterImplementationIsArchitecturallyInvisible) {
 TEST(ConfigEquivalence, CycleCountsAreShifterInvariantToo) {
   // Both shifters are depth-matched into the same pipeline; the sequencer
   // timing must not change either.
-  const std::string src = kernels::vecadd(0, 256, 512);
   std::uint64_t cycles[2];
   int i = 0;
   for (const auto impl :
        {hw::ShifterImpl::Integrated, hw::ShifterImpl::LogicBarrel}) {
-    Gpgpu gpu(base_cfg(impl));
-    gpu.load_program(assembler::assemble(src));
-    gpu.set_thread_count(256);
-    cycles[i++] = gpu.run().perf.cycles;
+    runtime::Device dev(runtime::DeviceDescriptor::simt_core(base_cfg(impl)));
+    const auto a = dev.alloc<std::uint32_t>(256);
+    const auto b = dev.alloc<std::uint32_t>(256);
+    const auto c = dev.alloc<std::uint32_t>(256);
+    const auto& mod = dev.load_module(kernels::vecadd_abi());
+    cycles[i++] = dev.launch_sync(mod.kernel(), 256,
+                                  runtime::KernelArgs().arg(a).arg(b).arg(c))
+                      .perf.cycles;
   }
   EXPECT_EQ(cycles[0], cycles[1]);
 }
@@ -109,22 +116,21 @@ TEST(ConfigEquivalence, SameKernelAcrossThreadSpaces) {
 TEST(ConfigEquivalence, RelaunchIsDeterministic) {
   // Back-to-back launches of the same kernel on the same state produce the
   // same cycle counts (the whole machine is deterministic).
-  Gpgpu gpu(base_cfg(hw::ShifterImpl::Integrated));
-  gpu.load_program(
-      assembler::assemble(kernels::tree_reduce_sum(0, 256)));
-  gpu.set_thread_count(256);
-  for (unsigned a = 0; a < 256; ++a) {
-    gpu.write_shared(a, a);
-  }
-  const auto first = gpu.run();
+  runtime::Device dev(runtime::DeviceDescriptor::simt_core(
+      base_cfg(hw::ShifterImpl::Integrated)));
+  auto data = dev.alloc<std::uint32_t>(256);
+  std::vector<std::uint32_t> init(256);
+  std::iota(init.begin(), init.end(), 0u);
+  const auto kernel = dev.load_module(kernels::tree_reduce_abi(256)).kernel();
+  const auto args = runtime::KernelArgs().arg(data);
+  data.write(init);
+  const auto first = dev.launch_sync(kernel, 256, args);
   // The reduction is destructive; reset and rerun.
-  for (unsigned a = 0; a < 256; ++a) {
-    gpu.write_shared(a, a);
-  }
-  const auto second = gpu.run();
+  data.write(init);
+  const auto second = dev.launch_sync(kernel, 256, args);
   EXPECT_EQ(first.perf.cycles, second.perf.cycles);
   EXPECT_EQ(first.perf.stall_cycles, second.perf.stall_cycles);
-  EXPECT_EQ(gpu.read_shared(0), 255u * 256u / 2u);
+  EXPECT_EQ(data.at(0), 255u * 256u / 2u);
 }
 
 }  // namespace

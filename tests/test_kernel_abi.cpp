@@ -6,6 +6,7 @@
 
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -188,77 +189,166 @@ TEST(KernelAbi, BuffersMayFillDeviceMemoryToTheTop) {
 
 // ---- differential across backends ------------------------------------------
 
-/// Launch vecadd + saxpy (ABI kernels) on one device; return the outputs.
-struct AbiDifferential {
-  std::vector<std::uint32_t> vecadd;
-  std::vector<std::int32_t> saxpy;
+constexpr unsigned kFirTaps = 8;
+constexpr unsigned kMatDim = 8;  // 64 threads, one per output
+
+/// Host inputs for one pass of the differential; `pass` shifts every value
+/// so a second pass overwrites each input word with a fresh one.
+struct AbiInputs {
+  std::vector<std::uint32_t> a, b;         // vecadd
+  std::vector<std::int32_t> x, y;          // saxpy
+  std::vector<std::int32_t> signal, coef;  // fir
+  std::vector<std::int32_t> ma, mb;        // matmul
 };
 
-AbiDifferential run_abi_differential(Device& dev, unsigned n) {
+AbiInputs abi_inputs(unsigned n, int pass) {
+  AbiInputs in;
+  for (unsigned i = 0; i < n; ++i) {
+    const auto si = static_cast<std::int32_t>(i);
+    in.a.push_back(3 * i + 1 + 1009 * pass);
+    in.b.push_back(1000 + i + 7 * pass);
+    in.x.push_back(si - static_cast<std::int32_t>(n / 2) + 13 * pass);
+    in.y.push_back(7 * si - 100 - 5 * pass);
+  }
+  for (unsigned i = 0; i < n + kFirTaps; ++i) {
+    in.signal.push_back(static_cast<std::int32_t>((5 * i + 3 * pass) % 23) -
+                        11);
+  }
+  for (unsigned k = 0; k < kFirTaps; ++k) {
+    in.coef.push_back(static_cast<std::int32_t>(k) + 1 + pass);
+  }
+  for (unsigned i = 0; i < kMatDim * kMatDim; ++i) {
+    in.ma.push_back(static_cast<std::int32_t>((3 * i + pass) % 11) - 5);
+    in.mb.push_back(static_cast<std::int32_t>((7 * i + 2 * pass) % 13) - 6);
+  }
+  return in;
+}
+
+constexpr std::int32_t kAlpha = 3 << 14;  // 0.75 in Q16
+constexpr unsigned kFirQ = 2;
+
+/// Outputs of one pass: vecadd, saxpy, FIR and matmul.
+struct AbiDifferential {
+  std::vector<std::uint32_t> vecadd;
+  std::vector<std::int32_t> saxpy, fir, matmul;
+};
+
+void expect_same(const AbiDifferential& got, const AbiDifferential& want,
+                 const std::string& what) {
+  EXPECT_EQ(got.vecadd, want.vecadd) << what;
+  EXPECT_EQ(got.saxpy, want.saxpy) << what;
+  EXPECT_EQ(got.fir, want.fir) << what;
+  EXPECT_EQ(got.matmul, want.matmul) << what;
+}
+
+AbiDifferential abi_golden(unsigned n, int pass) {
+  const auto in = abi_inputs(n, pass);
+  AbiDifferential out;
+  for (unsigned i = 0; i < n; ++i) {
+    out.vecadd.push_back(in.a[i] + in.b[i]);
+    const std::int64_t prod = static_cast<std::int64_t>(kAlpha) * in.x[i];
+    out.saxpy.push_back(static_cast<std::int32_t>(prod >> 16) + in.y[i]);
+    std::int32_t acc = 0;
+    for (unsigned k = 0; k < kFirTaps; ++k) {
+      acc += in.coef[k] * in.signal[i + k];
+    }
+    out.fir.push_back(acc >> kFirQ);
+  }
+  for (unsigned i = 0; i < kMatDim; ++i) {
+    for (unsigned j = 0; j < kMatDim; ++j) {
+      std::int32_t acc = 0;
+      for (unsigned k = 0; k < kMatDim; ++k) {
+        acc += in.ma[i * kMatDim + k] * in.mb[k * kMatDim + j];
+      }
+      out.matmul.push_back(acc);
+    }
+  }
+  return out;
+}
+
+/// Launch the shard-safe ABI kernels -- vecadd, saxpy, FIR and matmul -- on
+/// one device, twice over the same buffers. The second pass writes fresh
+/// inputs, so multicore cores still hold the first pass's words in their
+/// private images: a kernel that under-declares its `.reads` computes on
+/// stale data there and shows up as a mismatch.
+std::vector<AbiDifferential> run_abi_differential(Device& dev, unsigned n) {
   auto a = dev.alloc<std::uint32_t>(n);
   auto b = dev.alloc<std::uint32_t>(n);
   auto c = dev.alloc<std::uint32_t>(n);
   auto x = dev.alloc<std::int32_t>(n);
   auto y = dev.alloc<std::int32_t>(n);
   auto out = dev.alloc<std::int32_t>(n);
+  auto signal = dev.alloc<std::int32_t>(n + kFirTaps);
+  auto coef = dev.alloc<std::int32_t>(kFirTaps);
+  auto filtered = dev.alloc<std::int32_t>(n);
+  auto ma = dev.alloc<std::int32_t>(kMatDim * kMatDim);
+  auto mb = dev.alloc<std::int32_t>(kMatDim * kMatDim);
+  auto mc = dev.alloc<std::int32_t>(kMatDim * kMatDim);
 
-  std::vector<std::uint32_t> ha(n), hb(n);
-  std::vector<std::int32_t> hx(n), hy(n);
-  for (unsigned i = 0; i < n; ++i) {
-    ha[i] = 3 * i + 1;
-    hb[i] = 1000 + i;
-    hx[i] = static_cast<std::int32_t>(i) - static_cast<std::int32_t>(n / 2);
-    hy[i] = 7 * static_cast<std::int32_t>(i) - 100;
+  const auto vecadd = dev.load_module(kernels::vecadd_abi()).kernel();
+  const auto saxpy = dev.load_module(kernels::saxpy_abi(16)).kernel();
+  const auto fir = dev.load_module(kernels::fir_abi(kFirTaps, kFirQ)).kernel();
+  const auto matmul = dev.load_module(kernels::matmul_abi(kMatDim)).kernel();
+
+  std::vector<AbiDifferential> passes;
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto in = abi_inputs(n, pass);
+    AbiDifferential result;
+    result.vecadd.resize(n);
+    result.saxpy.resize(n);
+    result.fir.resize(n);
+    result.matmul.resize(kMatDim * kMatDim);
+    auto& stream = dev.stream();
+    stream.copy_in(a, std::span<const std::uint32_t>(in.a));
+    stream.copy_in(b, std::span<const std::uint32_t>(in.b));
+    stream.copy_in(x, std::span<const std::int32_t>(in.x));
+    stream.copy_in(y, std::span<const std::int32_t>(in.y));
+    stream.copy_in(signal, std::span<const std::int32_t>(in.signal));
+    stream.copy_in(coef, std::span<const std::int32_t>(in.coef));
+    stream.copy_in(ma, std::span<const std::int32_t>(in.ma));
+    stream.copy_in(mb, std::span<const std::int32_t>(in.mb));
+    stream.launch(vecadd, n, KernelArgs().arg(a).arg(b).arg(c));
+    stream.launch(saxpy, n,
+                  KernelArgs().arg(x).arg(y).arg(out).scalar(
+                      static_cast<std::uint32_t>(kAlpha)));
+    stream.launch(fir, n, KernelArgs().arg(signal).arg(coef).arg(filtered));
+    stream.launch(matmul, kMatDim * kMatDim,
+                  KernelArgs().arg(ma).arg(mb).arg(mc));
+    stream.copy_out(c, std::span<std::uint32_t>(result.vecadd));
+    stream.copy_out(out, std::span<std::int32_t>(result.saxpy));
+    stream.copy_out(filtered, std::span<std::int32_t>(result.fir));
+    stream.copy_out(mc, std::span<std::int32_t>(result.matmul));
+    stream.synchronize();
+    passes.push_back(std::move(result));
   }
-
-  const std::int32_t alpha = 3 << 14;  // 0.75 in Q16
-  Module& add_mod = dev.load_module(kernels::vecadd_abi());
-  Module& saxpy_mod = dev.load_module(kernels::saxpy_abi(16));
-
-  AbiDifferential result;
-  result.vecadd.resize(n);
-  result.saxpy.resize(n);
-  auto& stream = dev.stream();
-  stream.copy_in(a, std::span<const std::uint32_t>(ha));
-  stream.copy_in(b, std::span<const std::uint32_t>(hb));
-  stream.copy_in(x, std::span<const std::int32_t>(hx));
-  stream.copy_in(y, std::span<const std::int32_t>(hy));
-  stream.launch(add_mod.kernel("vecadd"), n,
-                KernelArgs().arg(a).arg(b).arg(c));
-  stream.launch(saxpy_mod.kernel("saxpy"), n,
-                KernelArgs().arg(x).arg(y).arg(out).scalar(
-                    static_cast<std::uint32_t>(alpha)));
-  stream.copy_out(c, std::span<std::uint32_t>(result.vecadd));
-  stream.copy_out(out, std::span<std::int32_t>(result.saxpy));
-  stream.synchronize();
-  return result;
+  return passes;
 }
 
 TEST(KernelAbi, AbiLaunchesAgreeOnEveryBackend) {
   constexpr unsigned kN = 192;  // not a multiple of the core sizes below
 
   Device core_dev(DeviceDescriptor::simt_core(small_cfg(256, 2048)));
+  // 3 x 64-thread cores: 192 threads shard 64/64/64; matmul's 64 uneven.
   Device multi_dev(DeviceDescriptor::multi_core(3, small_cfg(64, 2048)));
+  // 2 x 128-thread cores: 192 threads shard as 96/96.
+  Device multi2_dev(DeviceDescriptor::multi_core(2, small_cfg(128, 2048)));
   Device scalar_dev(DeviceDescriptor::scalar_cpu(scalar_cfg(2048)));
   const auto core = run_abi_differential(core_dev, kN);
   const auto multi = run_abi_differential(multi_dev, kN);
+  const auto multi2 = run_abi_differential(multi2_dev, kN);
   const auto scalar = run_abi_differential(scalar_dev, kN);
 
-  for (unsigned i = 0; i < kN; ++i) {
-    const std::uint32_t add_golden = (3 * i + 1) + (1000 + i);
-    const std::int64_t prod =
-        static_cast<std::int64_t>(3 << 14) *
-        (static_cast<std::int32_t>(i) - static_cast<std::int32_t>(kN / 2));
-    const std::int32_t saxpy_golden =
-        static_cast<std::int32_t>(prod >> 16) +
-        (7 * static_cast<std::int32_t>(i) - 100);
-    ASSERT_EQ(core.vecadd[i], add_golden) << i;
-    ASSERT_EQ(core.saxpy[i], saxpy_golden) << i;
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::string tag = " pass " + std::to_string(pass);
+    expect_same(core[pass], abi_golden(kN, pass), "core vs golden" + tag);
+    expect_same(multi[pass], core[pass], "3-core" + tag);
+    expect_same(multi2[pass], core[pass], "2-core" + tag);
+    expect_same(scalar[pass], core[pass], "scalar" + tag);
   }
-  EXPECT_EQ(multi.vecadd, core.vecadd);
-  EXPECT_EQ(multi.saxpy, core.saxpy);
-  EXPECT_EQ(scalar.vecadd, core.vecadd);
-  EXPECT_EQ(scalar.saxpy, core.saxpy);
+  // The second pass really computed on fresh data.
+  EXPECT_NE(core[0].vecadd, core[1].vecadd);
+  EXPECT_NE(core[0].fir, core[1].fir);
+  EXPECT_NE(core[0].matmul, core[1].matmul);
 }
 
 // ---- footprint-driven staging ----------------------------------------------

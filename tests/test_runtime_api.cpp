@@ -119,8 +119,7 @@ TEST(StreamQueue, CommandsRunInOrderAtSynchronize) {
   Device dev(DeviceDescriptor::simt_core(small_cfg()));
   auto in = dev.alloc<std::uint32_t>(64);
   auto out = dev.alloc<std::uint32_t>(64);
-  Module& mod = dev.load_module(kernels::vecadd(
-      in.word_base(), in.word_base(), out.word_base()));
+  Module& mod = dev.load_module(kernels::vecadd_abi());
 
   std::vector<std::uint32_t> host(64);
   std::iota(host.begin(), host.end(), 0u);
@@ -131,20 +130,21 @@ TEST(StreamQueue, CommandsRunInOrderAtSynchronize) {
   dev.scheduler().pause();
   auto& stream = dev.stream();
   stream.copy_in(in, std::span<const std::uint32_t>(host));
-  Event event = stream.launch(mod.kernel(), 64);
+  Event event = stream.launch(mod.kernel(), 64,
+                              KernelArgs().arg(in).arg(in).arg(out));
   stream.copy_out(out, std::span<std::uint32_t>(result));
 
   // Nothing has executed yet: the queue is pending, the event incomplete,
   // and the caller's output storage untouched.
   EXPECT_EQ(stream.pending(), 3u);
-  EXPECT_FALSE(event.complete());
+  EXPECT_FALSE(event.done());
   EXPECT_THROW(event.stats(), Error);
   EXPECT_EQ(result[0], 0xdeadbeefu);
 
   dev.scheduler().resume();
   stream.synchronize();
   EXPECT_EQ(stream.pending(), 0u);
-  ASSERT_TRUE(event.complete());
+  ASSERT_TRUE(event.done());
   EXPECT_TRUE(event.stats().exited);
   EXPECT_GT(event.stats().perf.cycles, 0u);
   EXPECT_GT(event.wall_us(), 0.0);
@@ -289,91 +289,6 @@ TEST(Launch, LoadingAnotherModuleReplacesTheResidentProgram) {
   EXPECT_EQ(backend->gpu().read_reg(0, 1), 2u);
   dev.launch_sync(one.kernel(), 16);
   EXPECT_EQ(backend->gpu().read_reg(0, 1), 1u);
-}
-
-// ---- backend differential --------------------------------------------------
-
-/// Run vecadd + saxpy on one device and return (c, out) host copies.
-struct DifferentialResult {
-  std::vector<std::uint32_t> vecadd;
-  std::vector<std::int32_t> saxpy;
-};
-
-DifferentialResult run_differential(DeviceDescriptor desc, unsigned n) {
-  Device dev(desc);
-  auto a = dev.alloc<std::uint32_t>(n);
-  auto b = dev.alloc<std::uint32_t>(n);
-  auto c = dev.alloc<std::uint32_t>(n);
-  auto x = dev.alloc<std::int32_t>(n);
-  auto y = dev.alloc<std::int32_t>(n);
-  auto out = dev.alloc<std::int32_t>(n);
-
-  std::vector<std::uint32_t> ha(n), hb(n);
-  std::vector<std::int32_t> hx(n), hy(n);
-  for (unsigned i = 0; i < n; ++i) {
-    ha[i] = 3 * i + 1;
-    hb[i] = 1000 + i;
-    hx[i] = static_cast<std::int32_t>(i) - static_cast<std::int32_t>(n / 2);
-    hy[i] = 7 * static_cast<std::int32_t>(i) - 100;
-  }
-
-  DifferentialResult result;
-  result.vecadd.resize(n);
-  result.saxpy.resize(n);
-
-  const std::int32_t alpha = 3 << 14;  // 0.75 in Q16
-  Module& add_mod = dev.load_module(
-      kernels::vecadd(a.word_base(), b.word_base(), c.word_base()));
-  Module& saxpy_mod = dev.load_module(kernels::saxpy(
-      alpha, 16, x.word_base(), y.word_base(), out.word_base()));
-
-  auto& stream = dev.stream();
-  stream.copy_in(a, std::span<const std::uint32_t>(ha));
-  stream.copy_in(b, std::span<const std::uint32_t>(hb));
-  stream.copy_in(x, std::span<const std::int32_t>(hx));
-  stream.copy_in(y, std::span<const std::int32_t>(hy));
-  stream.launch(add_mod.kernel(), n);
-  stream.launch(saxpy_mod.kernel(), n);
-  stream.copy_out(c, std::span<std::uint32_t>(result.vecadd));
-  stream.copy_out(out, std::span<std::int32_t>(result.saxpy));
-  stream.synchronize();
-  return result;
-}
-
-TEST(BackendDifferential, VecaddAndSaxpyAgreeEverywhere) {
-  constexpr unsigned kN = 192;  // not a multiple of the core sizes below
-
-  const auto core = run_differential(
-      DeviceDescriptor::simt_core(small_cfg(256, 2048)), kN);
-  // 3 x 64-thread cores: one round, uneven shards (64/64/64).
-  const auto multi = run_differential(
-      DeviceDescriptor::multi_core(3, small_cfg(64, 2048)), kN);
-  // 2 x 128-thread cores: 192 threads shard as 96/96.
-  const auto multi2 = run_differential(
-      DeviceDescriptor::multi_core(2, small_cfg(128, 2048)), kN);
-  baseline::ScalarCpuConfig scfg;
-  scfg.shared_mem_words = 2048;
-  const auto scalar =
-      run_differential(DeviceDescriptor::scalar_cpu(scfg), kN);
-
-  // Golden reference.
-  for (unsigned i = 0; i < kN; ++i) {
-    const std::uint32_t add_golden = (3 * i + 1) + (1000 + i);
-    const std::int64_t prod =
-        static_cast<std::int64_t>(3 << 14) *
-        (static_cast<std::int32_t>(i) - static_cast<std::int32_t>(kN / 2));
-    const std::int32_t saxpy_golden =
-        static_cast<std::int32_t>(prod >> 16) +
-        (7 * static_cast<std::int32_t>(i) - 100);
-    ASSERT_EQ(core.vecadd[i], add_golden) << i;
-    ASSERT_EQ(core.saxpy[i], saxpy_golden) << i;
-  }
-  EXPECT_EQ(multi.vecadd, core.vecadd);
-  EXPECT_EQ(multi.saxpy, core.saxpy);
-  EXPECT_EQ(multi2.vecadd, core.vecadd);
-  EXPECT_EQ(multi2.saxpy, core.saxpy);
-  EXPECT_EQ(scalar.vecadd, core.vecadd);
-  EXPECT_EQ(scalar.saxpy, core.saxpy);
 }
 
 // ---- clocks and stats ------------------------------------------------------

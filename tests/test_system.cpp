@@ -4,10 +4,19 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "kernels/kernels.hpp"
 
 namespace simt::system {
 namespace {
+
+// c[i] = a[i] + b[i] with a@0, b@128, c@256. MultiCoreSystem loads raw
+// source with no argument binding, so this kernel carries no directives.
+constexpr const char* kVecadd =
+    "movsr %r0, %tid\n"
+    "lds %r1, [%r0]\n"
+    "lds %r2, [%r0 + 128]\n"
+    "add %r3, %r1, %r2\n"
+    "sts [%r0 + 256], %r3\n"
+    "exit\n";
 
 SystemConfig small_system(unsigned cores) {
   SystemConfig cfg;
@@ -27,7 +36,7 @@ TEST(System, SplitRangeCoversAll) {
 
 TEST(System, CoresRunIndependently) {
   MultiCoreSystem sys(small_system(3));
-  sys.load_kernel_all(kernels::vecadd(0, 128, 256));
+  sys.load_kernel_all(kVecadd);
   // Distinct data per core.
   for (unsigned c = 0; c < 3; ++c) {
     for (unsigned i = 0; i < 128; ++i) {
@@ -48,7 +57,7 @@ TEST(System, CoresRunIndependently) {
 
 TEST(System, WallClockUsesMaxCyclesOverCores) {
   MultiCoreSystem sys(small_system(2));
-  sys.load_kernel(0, kernels::vecadd(0, 128, 256));
+  sys.load_kernel(0, kVecadd);
   // Core 1 runs a much longer kernel (a loop).
   sys.load_kernel(1,
                   "movi %r1, 0\n"
@@ -70,7 +79,7 @@ TEST(System, ClockModelFollowsTable2Regime) {
 
 TEST(System, WallClockAccountsRealizedClock) {
   MultiCoreSystem sys(small_system(1));
-  sys.load_kernel_all(kernels::vecadd(0, 128, 256));
+  sys.load_kernel_all(kVecadd);
   const auto res = sys.run({{0, 128}});
   EXPECT_NEAR(res.wall_us,
               static_cast<double>(res.max_cycles) / 927.0, 1e-9);
@@ -78,7 +87,7 @@ TEST(System, WallClockAccountsRealizedClock) {
 
 TEST(System, DispatchValidation) {
   MultiCoreSystem sys(small_system(2));
-  sys.load_kernel_all(kernels::vecadd(0, 128, 256));
+  sys.load_kernel_all(kVecadd);
   EXPECT_THROW(sys.run({{5, 16}}), Error);           // no such core
   EXPECT_THROW(sys.run({{0, 16}, {0, 16}}), Error);  // duplicate core
   EXPECT_THROW(MultiCoreSystem(SystemConfig{0, {}, 927, 854}), Error);
@@ -86,7 +95,7 @@ TEST(System, DispatchValidation) {
 
 TEST(System, AggregateThreadOps) {
   MultiCoreSystem sys(small_system(2));
-  sys.load_kernel_all(kernels::vecadd(0, 128, 256));
+  sys.load_kernel_all(kVecadd);
   const auto res = sys.run({{0, 128}, {1, 64}});
   EXPECT_EQ(res.total_thread_ops(), res.per_core[0].perf.thread_ops +
                                         res.per_core[1].perf.thread_ops);
