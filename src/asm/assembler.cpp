@@ -421,6 +421,11 @@ class AsmContext {
       expect_end(line, lex);
       return;
     }
+    if (head.text == ".lockstep") {
+      current_kernel(line, ".lockstep").lockstep = true;
+      expect_end(line, lex);
+      return;
+    }
     if (head.text == ".reads") {
       auto& k = current_kernel(line, ".reads");
       k.reads.push_back(parse_footprint(line, lex, ".reads"));

@@ -25,6 +25,8 @@
 //   .reads a                  ; declared input footprint (whole bound buffer)
 //   .reads b+16               ;   ... or the first 16 words only
 //   .writes c                 ; declared output footprint
+//   .lockstep                 ; (optional) threads coordinate in-launch:
+//                             ;   one core, one round, or the launch throws
 //       movsr %r0, %tid
 //       lds %r1, [%r0 + $a]   ; $param: immediate patched at launch time
 //       lds %r2, [%r0 + $b + 4]

@@ -16,9 +16,9 @@ using isa::TimingClass;
 
 namespace {
 
-// Per-opcode thunks: the compile-time opcode lets the golden ref::alu /
-// ref::compare switch fold away, leaving one direct arithmetic function per
-// opcode the hot loops call through a cached pointer.
+// Per-opcode thunks: ref::alu / ref::compare are inline, so the compile-time
+// opcode folds the golden switch away, leaving one direct arithmetic function
+// per opcode the hot loops call through a cached pointer.
 template <Opcode Op>
 std::uint32_t alu_thunk(std::uint32_t a, std::uint32_t b) {
   return ref::alu(Op, a, b);
@@ -29,11 +29,12 @@ bool cmp_thunk(std::uint32_t a, std::uint32_t b) {
   return ref::compare(Op, a, b);
 }
 
-// Batched thunks: the opcode is a template parameter, so each instantiation
-// is one tight loop with the arithmetic inlined -- the shape the
-// auto-vectorizer turns into SIMD over the contiguous lane blocks. The
-// element-wise body makes d == a / d == b aliasing equivalent to the
-// per-lane scalar loop.
+// Batched thunks: the opcode is a template parameter and the golden body is
+// inline, so each instantiation is one tight loop of straight-line
+// arithmetic with no call and no switch -- the shape the auto-vectorizer
+// turns into SIMD over the contiguous lane blocks (an out-of-line ref::alu
+// would leave a call and a runtime switch per lane). The element-wise body
+// makes d == a / d == b aliasing equivalent to the per-lane scalar loop.
 template <Opcode Op>
 void alu_batch_rr_thunk(std::uint32_t* d, const std::uint32_t* a,
                         const std::uint32_t* b, unsigned n) {

@@ -88,6 +88,9 @@ std::string kernel_metadata_text(const Program& program) {
   std::ostringstream out;
   for (const auto& k : program.kernels()) {
     out << "# .kernel " << k.name << " @" << k.entry << "\n";
+    if (k.lockstep) {
+      out << "# .lockstep\n";
+    }
     for (const auto& p : k.params) {
       out << "# .param " << p.name << " "
           << (p.kind == KernelParam::Kind::Buffer ? "buffer" : "scalar")
@@ -194,7 +197,9 @@ std::vector<KernelInfo> parse_kernel_metadata(
       meta_fail(raw, "directive before any .kernel");
     }
     auto& k = kernels.back();
-    if (word == ".param") {
+    if (word == ".lockstep") {
+      k.lockstep = true;
+    } else if (word == ".param") {
       std::string name, kind;
       if (!(in >> name >> kind) || (kind != "buffer" && kind != "scalar")) {
         meta_fail(raw, ".param needs a name and buffer|scalar");

@@ -2,9 +2,10 @@
 // the assembler. Programs are loaded into the (externally re-loadable) I-MEM.
 //
 // Alongside labels, a program carries the kernel ABI metadata the assembler
-// collects from `.kernel` / `.param` / `.reads` / `.writes` directives: the
-// per-kernel parameter list, the relocation sites where `$param` references
-// appear in instruction immediates, and the declared read/write footprints.
+// collects from `.kernel` / `.param` / `.reads` / `.writes` / `.lockstep`
+// directives: the per-kernel parameter list, the relocation sites where
+// `$param` references appear in instruction immediates, the declared
+// read/write footprints, and the lockstep flag.
 // The runtime binds argument values into the relocations at launch time (a
 // loader patch, not a re-assembly), so one assembled program serves any
 // number of argument sets.
@@ -70,6 +71,11 @@ struct KernelInfo {
   std::vector<ParamRef> refs;
   std::vector<Footprint> reads;
   std::vector<Footprint> writes;
+  /// `.lockstep`: the kernel's threads coordinate inside one launch
+  /// (dynamic thread scaling, or loads of a step completing before its
+  /// stores), so one SimtCore must run every thread in one round. The
+  /// runtime rejects any other launch instead of sharding it.
+  bool lockstep = false;
 
   /// Did the kernel declare any read/write footprints? (If not, staging
   /// falls back to the conservative restage-everything-stale path.)
@@ -137,6 +143,7 @@ class Program {
 /// carry metadata). One directive-shaped line per fact, e.g.:
 ///
 ///   # .kernel vecadd @0
+///   # .lockstep                (only when declared)
 ///   # .param a buffer
 ///   # .reads a
 ///   # .writes c+64

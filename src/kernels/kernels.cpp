@@ -169,6 +169,7 @@ std::string tree_reduce_abi(unsigned n) {
   log2_exact(n, "reduction size");
   std::string src =
       ".kernel tree_reduce\n"
+      ".lockstep\n"
       ".param data buffer\n"
       ".reads data\n"
       ".writes data\n"
@@ -190,6 +191,7 @@ std::string scan_abi(unsigned n) {
   // guarantees every load of a step completes before its stores commit.
   std::string src =
       ".kernel scan\n"
+      ".lockstep\n"
       ".param data buffer\n"
       ".reads data\n"
       ".writes data\n"
@@ -227,6 +229,7 @@ std::string histogram_abi(unsigned bins_log2, unsigned n, unsigned threads) {
   // footprint declares scratch as written only.
   std::string src =
       ".kernel histogram\n"
+      ".lockstep\n"
       ".param data buffer\n"
       ".param hist buffer\n"
       ".param scratch buffer\n"

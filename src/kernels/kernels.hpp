@@ -50,9 +50,10 @@ std::string reduce_abi(unsigned per_thread);
 
 // The three kernels below coordinate threads inside one launch -- dynamic
 // thread scaling (SETTI) or lockstep loads-before-stores -- so they are not
-// shard-safe: launch them on one core in one round (threads <= the core's
-// max_threads). A multicore or multi-round launch splits the threads that
-// must see each other's stores.
+// shard-safe: they declare `.lockstep`, and the runtime rejects any launch
+// other than one SimtCore running every thread in one round (threads <= the
+// core's max_threads). A multicore or multi-round launch would split the
+// threads that must see each other's stores.
 
 /// In-place tree reduction (sum) over n values (n a power of two, launched
 /// with n threads); the result lands in data[0]. Uses dynamic thread

@@ -662,6 +662,17 @@ LaunchPlan Device::prepare_launch(const Kernel& kernel, unsigned threads,
   }
   check_launch_threads(threads);
   validate_kernel_args(kernel, args);
+  if (kernel.info != nullptr && kernel.info->lockstep &&
+      (desc_.backend != BackendKind::SimtCore ||
+       threads > max_concurrent_threads())) {
+    // Sharding or splitting into rounds would separate threads that must
+    // see each other's stores: fail here rather than return wrong data.
+    throw Error("kernel '" + kernel.info->name + "' is .lockstep: its " +
+                std::to_string(threads) + " threads must run in one round "
+                "on a single-core (\"core\" backend) device, not a " +
+                std::string(backend_name()) + " device running at most " +
+                std::to_string(max_concurrent_threads()) + " per round");
+  }
 
   LaunchPlan plan;
   plan.kernel = kernel;

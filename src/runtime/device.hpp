@@ -506,7 +506,9 @@ class Device {
   // ---- pre-resolved launch plans (the execution-graph path) ---------------
   /// Validate and resolve a launch once: argument checks, the relocation
   /// patch plan signature, and the absolute staging footprint. Throws
-  /// simt::Error on anything launch_sync would reject.
+  /// simt::Error on anything launch_sync would reject -- including a
+  /// `.lockstep` kernel on anything but one SimtCore running every thread
+  /// in one round (graph instantiate and rebind come through here too).
   LaunchPlan prepare_launch(const Kernel& kernel, unsigned threads,
                             const KernelArgs& args) const;
   /// Re-derive only the argument-dependent pieces of a plan for a new

@@ -13,10 +13,13 @@
 //
 // Coverage: an exhaustive opcode x guard sweep over every guardable
 // (operation/load/store class) instruction, a control-flow program covering
-// the sequencer opcodes, randomized whole-program differentials, and a
+// the sequencer opcodes, randomized whole-program differentials, every
+// batch thunk against the structural ALU at every row length, and a
 // runtime-level engines-x-backends check on the FIR+scale+reduce mix.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -26,6 +29,7 @@
 #include "core/decoded_image.hpp"
 #include "core/gpgpu.hpp"
 #include "core/ref_interp.hpp"
+#include "hw/alu.hpp"
 #include "kernels/kernels.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/device.hpp"
@@ -468,6 +472,131 @@ TEST_P(FastPathRandom, EnginesMatchOnRandomPrograms) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastPathRandom,
                          ::testing::Range<std::uint64_t>(1, 17));
+
+// ---- batch thunks vs the structural ALU -------------------------------------
+//
+// Each batched thunk runs over every row length 1..67 -- past four 16-lane
+// vectors, so every vector body and every scalar tail the compiler emits
+// is hit -- in the plain shape and the aliased d == a / d == b shapes the
+// register file produces, against the structural hw::Alu element by
+// element (the independent oracle, not the golden ref:: body the thunks
+// inline). Lanes past the row must come back untouched.
+
+constexpr std::uint64_t kThunkSeed = 0x7b4e18;
+constexpr unsigned kMaxRow = 67;
+constexpr std::uint32_t kEdgeOperands[] = {
+    0u, 1u, 31u, 32u, 33u, 0x7fffffffu, 0x80000000u, 0xffffffffu};
+constexpr unsigned kEdges = std::size(kEdgeOperands);
+
+/// Operand rows. Edge rows pair every edge value with every other in the
+/// first kEdges^2 positions (a cycles fastest) and draw the rest; random
+/// rows draw every position. Every third random b is biased into shift
+/// range.
+void fill_operands(Xoshiro256& rng, bool edges, std::vector<std::uint32_t>& a,
+                   std::vector<std::uint32_t>& b) {
+  a.resize(kMaxRow);
+  b.resize(kMaxRow);
+  for (unsigned i = 0; i < kMaxRow; ++i) {
+    if (edges && i < kEdges * kEdges) {
+      a[i] = kEdgeOperands[i % kEdges];
+      b[i] = kEdgeOperands[i / kEdges];
+    } else {
+      a[i] = rng.next_u32();
+      b[i] = i % 3 == 0 ? static_cast<std::uint32_t>(rng.next_below(40))
+                        : rng.next_u32();
+    }
+  }
+}
+
+std::string thunk_case(Opcode op, unsigned n, const char* shape,
+                       unsigned i, std::uint32_t a, std::uint32_t b) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "seed %#llx: %s n=%u shape=%s lane %u a=%#x b=%#x",
+                static_cast<unsigned long long>(kThunkSeed),
+                std::string(isa::op_info(op).mnemonic).c_str(), n, shape, i,
+                a, b);
+  return buf;
+}
+
+enum class Alias { None, DA, DB };
+constexpr Alias kAliases[] = {Alias::None, Alias::DA, Alias::DB};
+const char* alias_name(Alias s) {
+  return s == Alias::None ? "d,a,b" : s == Alias::DA ? "d==a" : "d==b";
+}
+
+TEST(BatchThunks, MatchStructuralAluAtEveryRowLengthAndAlias) {
+  const hw::Alu alu;
+  Xoshiro256 rng(kThunkSeed);
+  unsigned checked_ops = 0;
+  for (int o = 0; o < isa::kOpcodeCount; ++o) {
+    const auto op = static_cast<Opcode>(o);
+    const AluBatchRRFn rr = functional_alu_batch_rr(op);
+    const AluBatchRIFn ri = functional_alu_batch_ri(op);
+    const CmpBatchFn cmp = functional_cmp_batch(op);
+    if (rr == nullptr && ri == nullptr && cmp == nullptr) {
+      continue;
+    }
+    ++checked_ops;
+    std::vector<std::uint32_t> a, b;
+    // Two passes per row length: an edge row, then a random row.
+    for (unsigned pass = 0; pass < 2 * kMaxRow; ++pass) {
+      const unsigned n = pass / 2 + 1;
+      fill_operands(rng, pass % 2 == 0, a, b);
+      if (rr != nullptr) {
+        for (const Alias shape : kAliases) {
+          std::vector<std::uint32_t> ra = a, rb = b, rd(kMaxRow, 0xdeadbeef);
+          std::vector<std::uint32_t>& dst = shape == Alias::DA   ? ra
+                                            : shape == Alias::DB ? rb
+                                                                 : rd;
+          const auto untouched = dst;
+          rr(dst.data(), ra.data(), rb.data(), n);
+          for (unsigned i = 0; i < kMaxRow; ++i) {
+            ASSERT_EQ(dst[i], i < n ? alu.execute(op, a[i], b[i])
+                                    : untouched[i])
+                << thunk_case(op, n, alias_name(shape), i, a[i], b[i]);
+          }
+        }
+      }
+      if (ri != nullptr) {
+        for (unsigned j = 0; j < kEdges + 2; ++j) {
+          const std::uint32_t imm =
+              j < kEdges ? kEdgeOperands[j] : rng.next_u32();
+          for (const Alias shape : {Alias::None, Alias::DA}) {
+            std::vector<std::uint32_t> ra = a, rd(kMaxRow, 0xdeadbeef);
+            std::vector<std::uint32_t>& dst = shape == Alias::DA ? ra : rd;
+            const auto untouched = dst;
+            ri(dst.data(), ra.data(), imm, n);
+            for (unsigned i = 0; i < kMaxRow; ++i) {
+              ASSERT_EQ(dst[i],
+                        i < n ? alu.execute(op, a[i], imm) : untouched[i])
+                  << thunk_case(op, n, alias_name(shape), i, a[i], imm);
+            }
+          }
+        }
+      }
+      if (cmp != nullptr) {
+        // Random predicate bytes: the thunk must rewrite only its own bit.
+        std::vector<std::uint8_t> preds(kMaxRow);
+        for (auto& p : preds) {
+          p = static_cast<std::uint8_t>(rng.next_below(16));
+        }
+        const auto before = preds;
+        const std::uint8_t bit = static_cast<std::uint8_t>(1u << (n % 4));
+        cmp(preds.data(), bit, a.data(), b.data(), n);
+        for (unsigned i = 0; i < kMaxRow; ++i) {
+          const bool lane = i < n && alu.compare(op, a[i], b[i]);
+          const auto want = static_cast<std::uint8_t>(
+              i < n ? (before[i] & ~bit) | (lane ? bit : 0) : before[i]);
+          ASSERT_EQ(preds[i], want)
+              << thunk_case(op, n, "preds", i, a[i], b[i]);
+        }
+      }
+    }
+  }
+  // 16 RRR + 17 RRI/RR ALU opcodes (CNOT has both thunks), 8 SETP.
+  EXPECT_EQ(checked_ops, 40u);
+}
 
 // ---- decoded image mechanics -----------------------------------------------
 

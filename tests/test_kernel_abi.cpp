@@ -1,7 +1,8 @@
 // Tests for the kernel ABI: assembler metadata directives, launch-time
 // argument binding (the loader's relocation patch), footprint-driven
-// multicore staging, module-cache hit accounting, host-thread-safe stream
-// submission, and scalar-backend entry points.
+// multicore staging, module-cache hit accounting, `.lockstep` launch
+// rejection, host-thread-safe stream submission, and scalar-backend entry
+// points.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -16,6 +17,7 @@
 #include "runtime/args.hpp"
 #include "runtime/buffer.hpp"
 #include "runtime/device.hpp"
+#include "runtime/graph.hpp"
 #include "runtime/module.hpp"
 #include "runtime/stream.hpp"
 
@@ -570,6 +572,86 @@ TEST(KernelMetadata, StridedSidecarRoundTrips) {
   EXPECT_EQ(parsed, program.kernels());
 }
 
+// ---- lockstep kernels --------------------------------------------------------
+
+/// Run `launch` and require a simt::Error naming `kernel`.
+template <typename F>
+void expect_lockstep_rejection(F&& launch, const std::string& kernel,
+                               const std::string& where) {
+  try {
+    launch();
+    ADD_FAILURE() << where << ": lockstep kernel '" << kernel << "' launched";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'" + kernel + "' is .lockstep"), std::string::npos)
+        << where << ": " << what;
+  }
+}
+
+TEST(Lockstep, OnlyOneCoreInOneRoundRunsALockstepKernel) {
+  // A sharded or multi-round scan splits threads that must see each
+  // other's stores: on 2x64 cores it used to return data[127] = 6240
+  // instead of 8256 without a word. Every such launch must throw instead.
+  constexpr unsigned kN = 128;
+  struct Case {
+    std::string name;
+    std::string source;
+  };
+  const std::vector<Case> cases = {
+      {"scan", kernels::scan_abi(kN)},
+      {"tree_reduce", kernels::tree_reduce_abi(kN)},
+      {"histogram", kernels::histogram_abi(2, kN, kN)}};
+  const std::vector<std::pair<std::string, DeviceDescriptor>> rejecting = {
+      {"2x64 multicore", DeviceDescriptor::multi_core(2, small_cfg(64, 2048))},
+      {"1x128 multicore",
+       DeviceDescriptor::multi_core(1, small_cfg(128, 2048))},
+      {"64-thread core (two rounds)",
+       DeviceDescriptor::simt_core(small_cfg(64, 2048))},
+      {"scalar", DeviceDescriptor::scalar_cpu(scalar_cfg(2048))}};
+  for (const auto& [where, desc] : rejecting) {
+    Device dev(desc);
+    auto a = dev.alloc<std::uint32_t>(kN);
+    auto b = dev.alloc<std::uint32_t>(4);
+    auto c = dev.alloc<std::uint32_t>(kN * 4);
+    for (const auto& k : cases) {
+      const auto kernel = dev.load_module(k.source).kernel(k.name);
+      const auto args = k.name == "histogram"
+                            ? KernelArgs().arg(a).arg(b).arg(c)
+                            : KernelArgs().arg(a);
+      expect_lockstep_rejection([&] { dev.launch_sync(kernel, kN, args); },
+                                k.name, where + " launch_sync");
+      expect_lockstep_rejection(
+          [&] { dev.prepare_launch(kernel, kN, args); }, k.name,
+          where + " prepare_launch");
+      // Graph instantiate prepares every captured launch: same verdict.
+      Graph graph;
+      dev.stream().begin_capture(graph);
+      dev.stream().launch(kernel, kN, args);
+      dev.stream().end_capture();
+      expect_lockstep_rejection([&] { graph.instantiate(); }, k.name,
+                                where + " graph instantiate");
+    }
+  }
+
+  // One core holding all 128 threads runs it, eagerly and as a graph.
+  Device dev(DeviceDescriptor::simt_core(small_cfg(kN, 2048)));
+  auto data = dev.alloc<std::uint32_t>(kN);
+  std::vector<std::uint32_t> init(kN);
+  std::iota(init.begin(), init.end(), 1u);
+  const auto scan = dev.load_module(cases[0].source).kernel("scan");
+  data.write(init);
+  dev.launch_sync(scan, kN, KernelArgs().arg(data));
+  EXPECT_EQ(data.at(kN - 1), kN * (kN + 1) / 2);
+  Graph graph;
+  dev.stream().begin_capture(graph);
+  dev.stream().launch(scan, kN, KernelArgs().arg(data));
+  dev.stream().end_capture();
+  auto exec = graph.instantiate();
+  data.write(init);
+  exec.run(dev.stream()).wait();
+  EXPECT_EQ(data.at(kN - 1), kN * (kN + 1) / 2);
+}
+
 // ---- host-thread-safe submission -------------------------------------------
 
 TEST(ConcurrentSubmit, WorkerThreadsShareOneStream) {
@@ -677,6 +759,30 @@ TEST(KernelMetadata, SidecarTextRoundTrips) {
   }
   const auto parsed = core::parse_kernel_metadata(lines);
   EXPECT_EQ(parsed, program.kernels());
+}
+
+TEST(KernelMetadata, LockstepFlagRoundTrips) {
+  const auto scan = assembler::assemble(kernels::scan_abi(8));
+  ASSERT_EQ(scan.kernels().size(), 1u);
+  EXPECT_TRUE(scan.kernels()[0].lockstep);
+  const auto text = core::kernel_metadata_text(scan);
+  EXPECT_NE(text.find("# .lockstep\n"), std::string::npos) << text;
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    lines.push_back(line);
+  }
+  const auto parsed = core::parse_kernel_metadata(lines);
+  EXPECT_EQ(parsed, scan.kernels());
+
+  // Shard-safe kernels stay untagged, and the directive needs a kernel.
+  const auto fir = assembler::assemble(kernels::fir_abi(4, 8));
+  EXPECT_FALSE(fir.kernels()[0].lockstep);
+  EXPECT_EQ(core::kernel_metadata_text(fir).find(".lockstep"),
+            std::string::npos);
+  EXPECT_THROW(assembler::assemble(".lockstep\nexit\n"), Error);
+  EXPECT_THROW(core::parse_kernel_metadata({"# .lockstep"}), Error);
 }
 
 TEST(KernelMetadata, SidecarRejectsLoaderPrologueForms) {

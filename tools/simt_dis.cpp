@@ -24,7 +24,8 @@ const char* kind_name(simt::core::KernelParam::Kind k) {
 
 void print_kernel_table(const std::vector<simt::core::KernelInfo>& kernels) {
   for (const auto& k : kernels) {
-    std::printf("kernel %s @%u\n", k.name.c_str(), k.entry);
+    std::printf("kernel %s @%u%s\n", k.name.c_str(), k.entry,
+                k.lockstep ? " (lockstep)" : "");
     for (std::size_t i = 0; i < k.params.size(); ++i) {
       std::printf("  param %zu: %s %s\n", i, k.params[i].name.c_str(),
                   kind_name(k.params[i].kind));

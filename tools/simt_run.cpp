@@ -22,9 +22,10 @@
 // stall=50us"), seeded by --seed so the same invocation replays the same
 // storm; retry-with-backoff and quarantine/probation recovery are enabled
 // alongside it. --deadline-us N arms a per-request deadline enforced by
-// the cluster watchdog. A file-less chaos demo needs nothing else:
+// the cluster watchdog. A file-less chaos demo needs nothing else (one
+// command line):
 //
-//   simt-run --cluster 2 --requests 16 --fault-spec launch:transient:p=0.2 \
+//   simt-run --cluster 2 --requests 16 --fault-spec launch:transient:p=0.2
 //            --seed 7 --deadline-us 500000
 //
 // --bit-accurate simulates lanes through the structural datapath models
