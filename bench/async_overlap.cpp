@@ -10,16 +10,17 @@
 // DMA engine while batch N executes -- the scheduler's modeled timeline
 // prices both shapes.
 //
-// A second, *measured* section times the same staging traffic in real host
-// wall clock: with DeviceDescriptor::stage_workers armed (the default) each
-// core's shard copy-in runs on its own dispatch worker, so a launch's
-// staging overlaps across cores instead of serializing on the submitting
-// thread. Parallel staging must beat the stage_workers=0 reference path in
-// wall time (best-of-N, skipped on hosts with < 4 hardware threads).
+// A second, *measured* section times staging-heavy launches in real host
+// wall clock. Their predicted work is above
+// MultiCoreBackend::kInlineRoundWork, so the backend pools their rounds:
+// each core stages and runs on its own dispatch worker, and the cores'
+// copy-ins overlap instead of serializing on the launching thread. The
+// pooled round must beat the same launches run inline (best-of-N, skipped
+// on hosts with < 4 hardware threads), which checks the threshold's choice.
 //
 // Acceptance: the batched + double-buffered path must model >= 1.3x the
-// serial PR-1 throughput, results must be bit-identical, and measured
-// parallel staging must not lose to serial staging. The bench exits
+// serial PR-1 throughput, results must be bit-identical, and the measured
+// pooled rounds must not lose to inline rounds. The bench exits
 // nonzero on any failure, so CI can run it as a smoke test (--quick
 // shrinks the request count).
 #include <algorithm>
@@ -293,20 +294,22 @@ int main(int argc, char** argv) {
               "-> %.2fx (threshold 1.30x)\n",
               dag_linear_us, dag_overlap_us, dag_gain);
 
-  // ---- measured wall clock: parallel vs serial staging workers -----------
+  // ---- measured wall clock: pooled vs inline rounds -----------------------
   //
   // Staging-heavy launches: the host dirties a 28K-word input window every
-  // iteration, so each of the 4 cores restages that window each launch.
-  // With stage_workers=0 the four copies serialize on the submitting
-  // thread; with workers armed they run concurrently on the per-core
-  // dispatch workers. Same device, same kernel, same modeled numbers --
-  // only real seconds differ.
+  // iteration, so each of the 4 cores restages that window each launch
+  // (~117K words of predicted work, above the inline threshold). Inline,
+  // the four copies and runs serialize on the launching thread; pooled,
+  // they run concurrently on the per-core dispatch workers. Same kernel,
+  // same modeled numbers -- only real seconds differ.
   constexpr unsigned kStageWords = 28 * 1024;
   constexpr unsigned kStageThreads = 256;
   constexpr unsigned kStageLaunches = 24;
   constexpr unsigned kStageReps = 5;
+  static_assert(4 * kStageWords > runtime::MultiCoreBackend::kInlineRoundWork,
+                "the staging-heavy launch must be one the backend pools");
   // One rig per configuration, both alive for the whole measurement. The
-  // reps alternate (serial, parallel, serial, ...) and each configuration
+  // reps alternate (inline, pooled, inline, ...) and each configuration
   // keeps its best rep, so the ratio compares configurations rather than
   // run order: back to back, whichever configuration ran second measured
   // ~25% faster even with identical code.
@@ -317,19 +320,19 @@ int main(int argc, char** argv) {
     std::vector<std::uint32_t> dirty;
     double best_s = 1e30;
 
-    static runtime::DeviceDescriptor desc(unsigned stage_workers) {
+    static runtime::DeviceDescriptor desc() {
       core::CoreConfig cfg;
       cfg.max_threads = 64;
       cfg.shared_mem_words = 32 * 1024;
-      auto d = runtime::DeviceDescriptor::multi_core(4, cfg);
-      d.stage_workers = stage_workers;
-      return d;
+      return runtime::DeviceDescriptor::multi_core(4, cfg);
     }
-    explicit StagedRig(unsigned stage_workers)
-        : dev(desc(stage_workers)),
+    explicit StagedRig(std::uint64_t inline_round_work)
+        : dev(desc()),
           in(dev.alloc<std::uint32_t>(kStageWords)),
           out(dev.alloc<std::uint32_t>(kStageThreads)),
           dirty(kStageWords) {
+      dev.backend_as<runtime::MultiCoreBackend>()->set_inline_round_work(
+          inline_round_work);
       kernel =
           dev.load_module(request_kernel(in.word_base(), out.word_base()))
               .kernel();
@@ -351,19 +354,19 @@ int main(int argc, char** argv) {
                                     .count());
     }
   };
-  StagedRig serial_rig(0);
-  StagedRig parallel_rig(runtime::DeviceDescriptor::kAllStageWorkers);
+  StagedRig inline_rig(~std::uint64_t{0});  // every round inline
+  StagedRig pooled_rig(0);                   // every round pooled
   for (unsigned rep = 0; rep < kStageReps; ++rep) {
-    serial_rig.rep(rep);
-    parallel_rig.rep(rep);
+    inline_rig.rep(rep);
+    pooled_rig.rep(rep);
   }
-  const double staged_serial_s = serial_rig.best_s;
-  const double staged_parallel_s = parallel_rig.best_s;
-  if (parallel_rig.out.read() != serial_rig.out.read()) {
-    std::puts("FAIL: parallel staging diverges from serial staging");
+  const double staged_inline_s = inline_rig.best_s;
+  const double staged_pooled_s = pooled_rig.best_s;
+  if (pooled_rig.out.read() != inline_rig.out.read()) {
+    std::puts("FAIL: pooled rounds diverge from inline rounds");
     return 1;
   }
-  const double staging_speedup = staged_serial_s / staged_parallel_s;
+  const double staging_speedup = staged_inline_s / staged_pooled_s;
   // Real-time assertions need real parallel hardware and uninstrumented
   // timing: skip on small hosts and under ThreadSanitizer (whose happens-
   // before tracking serializes the very overlap being measured).
@@ -379,9 +382,9 @@ int main(int argc, char** argv) {
       std::thread::hardware_concurrency() >= 4 && !under_tsan;
   std::printf("\nmeasured wall, %u staging-heavy launches (best of %u "
               "interleaved reps): "
-              "serial %.2f ms, parallel %.2f ms -> %.2fx%s\n",
-              kStageLaunches, kStageReps, staged_serial_s * 1e3,
-              staged_parallel_s * 1e3, staging_speedup,
+              "inline %.2f ms, pooled %.2f ms -> %.2fx%s\n",
+              kStageLaunches, kStageReps, staged_inline_s * 1e3,
+              staged_pooled_s * 1e3, staging_speedup,
               assert_wall ? ""
                           : " (not asserted: < 4 hardware threads or TSan)");
 
@@ -395,8 +398,8 @@ int main(int argc, char** argv) {
            .metric("dag_replay_linear_us", dag_linear_us)
            .metric("dag_replay_overlap_us", dag_overlap_us)
            .metric("dag_replay_gain", dag_gain)
-           .metric("staging_serial_wall_s", staged_serial_s)
-           .metric("staging_parallel_wall_s", staged_parallel_s)
+           .metric("staging_serial_wall_s", staged_inline_s)
+           .metric("staging_parallel_wall_s", staged_pooled_s)
            .metric("staging_wall_speedup", staging_speedup)
            .write()) {
     return 1;
@@ -410,8 +413,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (assert_wall && staging_speedup < 1.0) {
-    std::puts("FAIL: parallel staging lost to serial staging in measured "
-              "wall time");
+    std::puts("FAIL: pooled rounds lost to inline rounds in measured wall "
+              "time");
     return 1;
   }
   std::puts("PASS");

@@ -5,22 +5,17 @@
 // interpreter loops, so host MIPS -- not the modeled 950 MHz -- caps how
 // much traffic this reproduction can serve. This bench runs the FIR +
 // scale + reduce serving mix through the unified runtime on all three
-// backends and, on the cycle-accurate engines, under both lane-evaluation
-// engines:
+// backends and, on the cycle-accurate engines, under both engines:
 //
 //   fast:         the predecoded functional path with the SIMD-batched lane
-//                 engine and parallel staging workers (the defaults);
-//   fast-scalar:  the same predecoded path with simd_lanes pinned off and
-//                 stage_workers = 0 -- the PR-5 configuration, kept as the
-//                 in-bench baseline the batched engine must beat;
+//                 engine;
 //   bit-accurate: the structural Mul33/shifter/LogicUnit datapaths.
 //
 // Results must be bit-identical across engines and backends. Acceptance:
-// the fast path must deliver >= 3x the bit-accurate host throughput AND
-// >= 1.5x the fast-scalar (PR-5) throughput on the 4-core serving mix. The
-// bench exits nonzero on any failure and emits BENCH_sim_speed.json so CI
-// accumulates a perf trajectory, now including a per-opcode-class lane-Mops
-// breakdown and the measured staging wall time.
+// the fast path must deliver >= 3x the bit-accurate host throughput on the
+// 4-core serving mix. The bench exits nonzero on any failure and emits
+// BENCH_sim_speed.json so CI accumulates a perf trajectory, including a
+// per-opcode-class lane-Mops breakdown and the measured staging wall time.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -45,7 +40,6 @@ constexpr unsigned kMul = 3;
 constexpr unsigned kChunk = 4;
 constexpr unsigned kPartials = kSamples / kChunk;
 constexpr double kThreshold = 3.0;
-constexpr double kSimdThreshold = 1.5;
 
 std::vector<std::uint32_t> signal(unsigned iter) {
   std::vector<std::uint32_t> x(kSamples + kTaps);
@@ -178,20 +172,12 @@ int main(int argc, char** argv) {
     fast.bit_accurate = false;
     auto acc = cfg;
     acc.bit_accurate = true;
-    auto fast_scalar = fast;
-    fast_scalar.simd_lanes = false;
     rows.push_back({"core", "fast",
                     runtime::DeviceDescriptor::simt_core(fast), {}});
-    rows.push_back({"core", "fast-scalar",
-                    runtime::DeviceDescriptor::simt_core(fast_scalar), {}});
     rows.push_back({"core", "bit-accurate",
                     runtime::DeviceDescriptor::simt_core(acc), {}});
     rows.push_back({"multicore4", "fast",
                     runtime::DeviceDescriptor::multi_core(4, fast), {}});
-    // The PR-5 configuration: scalar lane loops and serial staging.
-    auto scalar_desc = runtime::DeviceDescriptor::multi_core(4, fast_scalar);
-    scalar_desc.stage_workers = 0;
-    rows.push_back({"multicore4", "fast-scalar", scalar_desc, {}});
     rows.push_back({"multicore4", "bit-accurate",
                     runtime::DeviceDescriptor::multi_core(4, acc), {}});
     baseline::ScalarCpuConfig scfg;
@@ -239,16 +225,11 @@ int main(int argc, char** argv) {
     std::exit(1);
   };
   const MixResult& mc_fast = find_row("multicore4", "fast");
-  const MixResult& mc_scalar = find_row("multicore4", "fast-scalar");
   const MixResult& mc_acc = find_row("multicore4", "bit-accurate");
   const double speedup = mc_acc.wall_s / mc_fast.wall_s;
-  const double simd_speedup = mc_scalar.wall_s / mc_fast.wall_s;
   std::printf("\nhost speedup, fast vs bit-accurate on the 4-core mix: "
               "%.2fx (threshold %.2fx), bit-identical buffers\n",
               speedup, kThreshold);
-  std::printf("host speedup, fast vs fast-scalar (PR-5 config) on the "
-              "4-core mix: %.2fx (threshold %.2fx)\n",
-              simd_speedup, kSimdThreshold);
   std::printf("lane Mops/s by opcode class (multicore4 fast): "
               "op %.1f, load %.1f, store %.1f\n",
               mc_fast.class_mops(mc_fast.op_thread_ops),
@@ -262,13 +243,9 @@ int main(int argc, char** argv) {
                          std::to_string(kSamples) + " samples, " +
                          std::to_string(iters) + " iterations");
   for (const auto& row : rows) {
-    std::string suffix = "bitacc";
-    if (!std::strcmp(row.engine, "fast")) {
-      suffix = "fast";
-    } else if (!std::strcmp(row.engine, "fast-scalar")) {
-      suffix = "fastscalar";
-    }
-    const std::string key = std::string(row.backend) + "_" + suffix;
+    const std::string key = std::string(row.backend) + "_" +
+                            (!std::strcmp(row.engine, "fast") ? "fast"
+                                                               : "bitacc");
     report.metric(key + "_wall_s", row.r.wall_s);
     report.metric(key + "_instructions", row.r.instructions);
     report.metric(key + "_thread_ops", row.r.thread_ops);
@@ -289,20 +266,13 @@ int main(int argc, char** argv) {
   report.metric("multicore4_fast_st_thread_ops", mc_fast.st_thread_ops);
   report.metric("multicore4_fast_stage_wall_s", mc_fast.stage_wall_s);
   report.metric("fast_vs_bitacc_speedup_multicore4", speedup);
-  report.metric("fast_vs_scalar_lanes_speedup_multicore4", simd_speedup);
   report.metric("threshold", kThreshold);
-  report.metric("simd_threshold", kSimdThreshold);
   if (!report.write()) {
     return 1;
   }
 
   if (speedup < kThreshold) {
     std::puts("FAIL: fast-path host speedup below threshold");
-    return 1;
-  }
-  if (simd_speedup < kSimdThreshold) {
-    std::puts("FAIL: SIMD lane engine below threshold vs the PR-5 "
-              "fast-scalar configuration");
     return 1;
   }
   std::puts("PASS");

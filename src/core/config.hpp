@@ -38,19 +38,6 @@ struct CoreConfig {
   bool bit_accurate = false;
 #endif
 
-  /// Batch lane evaluation on the functional fast path: when every lane of
-  /// an instruction is active (unguarded, or a guard that resolves
-  /// uniformly), the engine dispatches ONE per-opcode batch thunk over the
-  /// register file's contiguous per-register lane rows instead of a lane
-  /// loop of indirect calls, and loads/stores gather/scatter directly
-  /// against the committed memory image. Divergent guards fall back to the
-  /// scalar lane loop, and results stay bit-identical either way (the
-  /// fast-path differential suites pin this flag both ways). Turn it off
-  /// (simt-run --no-simd-lanes) to debug with the scalar loop. Ignored by
-  /// the bit-accurate engine, which always walks lanes through the
-  /// structural models.
-  bool simd_lanes = true;
-
   // ---- shared memory porting (Section 2: multi-port, 4R-1W) ----
   unsigned shared_read_ports = 4;
   unsigned shared_write_ports = 1;

@@ -67,9 +67,9 @@ struct DecodedOp {
   const isa::OpInfo* info = nullptr;
   AluFn alu = nullptr;  ///< functional ALU result (RRR/RRI/RR/RI forms)
   CmpFn cmp = nullptr;  ///< functional compare (PRR form)
-  /// Batched variants of the same thunks, used by the SIMD lane engine
-  /// (CoreConfig::simd_lanes) when an instruction's guard resolves
-  /// uniformly: one call per instruction instead of one per lane.
+  /// Batched variants of the same thunks, used by the functional engine
+  /// when an instruction's guard resolves uniformly: one call per
+  /// instruction instead of one per lane.
   AluBatchRRFn alu_batch_rr = nullptr;  ///< RRR form over lane blocks
   AluBatchRIFn alu_batch_ri = nullptr;  ///< RRI/RR forms over lane blocks
   CmpBatchFn cmp_batch = nullptr;       ///< PRR form over lane blocks

@@ -407,7 +407,7 @@ bool Gpgpu::exec_operation_batched(const DecodedOp& d, unsigned active) {
 void Gpgpu::exec_operation(const DecodedOp& d, unsigned active) {
   const bool guarded = d.instr.guard != Guard::None;
   if (!cfg_.bit_accurate) {
-    if (cfg_.simd_lanes && exec_operation_batched(d, active)) {
+    if (exec_operation_batched(d, active)) {
       return;
     }
     const FunctionalAlu alu{d.alu, d.cmp};
@@ -488,7 +488,7 @@ bool Gpgpu::exec_load_batched(const Instr& instr, unsigned active,
 }
 
 unsigned Gpgpu::exec_load(const Instr& instr, unsigned active) {
-  if (!cfg_.bit_accurate && cfg_.simd_lanes) {
+  if (!cfg_.bit_accurate) {
     unsigned lanes = 0;
     if (exec_load_batched(instr, active, lanes)) {
       return lanes;
@@ -567,7 +567,7 @@ bool Gpgpu::exec_store_batched(const Instr& instr, unsigned active,
 }
 
 unsigned Gpgpu::exec_store(const Instr& instr, unsigned active) {
-  if (!cfg_.bit_accurate && cfg_.simd_lanes) {
+  if (!cfg_.bit_accurate) {
     unsigned lanes = 0;
     if (exec_store_batched(instr, active, lanes)) {
       return lanes;

@@ -70,7 +70,6 @@ class Gpgpu {
   /// a host runtime can split one logical launch across cores or rounds
   /// (the CUDA blockIdx analogue for this single-block core).
   void set_thread_base(std::uint32_t base) { thread_base_ = base; }
-  std::uint32_t thread_base() const { return thread_base_; }
 
   /// SM index reported by %smid (set per core by the multi-core system).
   void set_smid(std::uint32_t smid) { smid_ = smid; }
@@ -83,7 +82,6 @@ class Gpgpu {
   /// SETT/SETTI -- from then on %ntid tracks the dynamic count, which is
   /// the Section 2 semantics (and such kernels are not shard-safe anyway).
   void set_ntid_override(std::uint32_t ntid) { ntid_override_ = ntid; }
-  std::uint32_t ntid_override() const { return ntid_override_; }
 
   /// Run from `entry` until EXIT or the instruction budget is exhausted.
   RunResult run(std::uint32_t entry = 0,
@@ -118,7 +116,6 @@ class Gpgpu {
   /// Zero registers, predicates, and shared memory.
   void reset_state();
 
-  const hw::MultiPortMemory& shared_memory() const { return shared_; }
   const InstructionMemory& imem() const { return imem_; }
 
  private:
@@ -139,8 +136,8 @@ class Gpgpu {
   // instructions and either the functional ALU thunks or the bit-accurate
   // structural models (CoreConfig::bit_accurate) inside the loop.
   //
-  // On top of that, the SIMD lane engine (CoreConfig::simd_lanes, functional
-  // engine only): when an instruction's guard resolves uniformly over the
+  // On top of that, the SIMD lane engine (functional engine only, always
+  // tried first): when an instruction's guard resolves uniformly over the
   // active block, the *_batched helpers dispatch one per-opcode batch thunk
   // over the contiguous per-register lane rows of rf_data_ (ALU classes), or
   // gather/scatter directly against the committed shared-memory image

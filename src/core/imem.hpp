@@ -34,7 +34,6 @@ class InstructionMemory {
     }
     words_.assign(depth_, 0);
     std::copy(image.begin(), image.end(), words_.begin());
-    valid_words_ = static_cast<unsigned>(image.size());
   }
 
   std::uint64_t fetch(unsigned pc) const {
@@ -43,14 +42,12 @@ class InstructionMemory {
   }
 
   unsigned depth() const { return depth_; }
-  unsigned valid_words() const { return valid_words_; }
 
   /// M20K blocks: 64-bit word needs two 40-bit-wide block columns.
   unsigned m20k_blocks() const { return hw::m20k_blocks_for(depth_, 64); }
 
  private:
   unsigned depth_;
-  unsigned valid_words_ = 0;
   std::vector<std::uint64_t> words_;
 };
 

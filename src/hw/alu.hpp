@@ -34,7 +34,6 @@ class Alu {
   /// DSP pipeline, Section 4).
   static constexpr int kLatency = Mul33::kPipelineDepth;
 
-  ShifterImpl shifter_impl() const { return shifter_impl_; }
   const Mul33& multiplier() const { return mul_; }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <string>
 
 #include "asm/assembler.hpp"
@@ -119,12 +118,11 @@ void SimtCoreBackend::write_words(std::uint32_t base,
 
 MultiCoreBackend::MultiCoreBackend(
     const system::SystemConfig& cfg, double staging_words_per_cycle,
-    unsigned stage_workers, std::shared_ptr<faults::FaultInjector> faults)
+    std::shared_ptr<faults::FaultInjector> faults)
     : sys_(cfg),
       master_(cfg.core.shared_mem_words, 0),
       stale_(sys_.num_cores()),
       staging_words_per_cycle_(staging_words_per_cycle),
-      stage_workers_(std::min(stage_workers, sys_.num_cores())),
       faults_(std::move(faults)) {
   // Cores power up zeroed, exactly like the master image: every shard map
   // starts clean, and staleness accrues only from host writes and sibling
@@ -183,24 +181,6 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
   // prefetch it (RoundCost::stage_late_cycles).
   RangeSet merged_prev;
 
-  // ---- parallel staging plumbing ----
-  // In a pooled round, cores [0, stage_workers_) run their physical
-  // copy-in on their own persistent dispatch workers, queued ahead of the
-  // round's run job (the per-worker FIFO is the only ordering needed), so
-  // one core's staging overlaps sibling cores' staging and execution in
-  // real wall time. Everything here is physical data movement only: the
-  // shard-map bookkeeping, staged-word counts, and modeled RoundCosts are
-  // computed on the submitting thread whichever thread copies, so the
-  // modeled timeline is bit-identical either way.
-  std::vector<double> stage_us(num_cores, 0.0);
-  std::vector<std::exception_ptr> stage_errors(num_cores);
-  // Stage jobs capture references into this frame: never leave it with
-  // jobs still queued (run() drains on the normal path; this guard covers
-  // a throwing post).
-  struct DrainGuard {
-    system::MultiCoreSystem& sys;
-    ~DrainGuard() { sys.drain(); }
-  } drain_guard{sys_};
   // Predicted host work of a round is its staged words plus threads x
   // decoded image length; both are known before anything is posted.
   const auto& image = sys_.core(0).image();
@@ -261,29 +241,32 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
       base += sizes[c];
     }
 
-    // Small rounds stage and run every core on this thread: the pool's
-    // per-core hand-offs would cost more than the cores' work. Larger
-    // rounds stage cores [0, stage_workers_) on their own workers, FIFO
-    // ahead of the run job, and the rest here.
+    // Each core's copy-in and run are one body. Small rounds run every
+    // body on this thread: the pool's per-core hand-offs would cost more
+    // than the cores' work. Larger rounds post one body per core to the
+    // dispatch workers, so a core's staging overlaps its siblings' staging
+    // and execution in real wall time. Only the physical copy moves: the
+    // shard maps, staged-word counts and modeled RoundCosts were settled
+    // above, so the modeled timeline is the same on either path.
     const bool inline_round =
         round_words + std::uint64_t{round_total} * image_len <
         inline_round_work_;
-    for (const auto& d : dispatches) {
-      const unsigned c = d.core;
-      if (inline_round || c >= stage_workers_) {
-        stage_core(c, to_copy[c], stage_us[c], stage_errors[c]);
-      } else {
-        sys_.post(c, [this, c, &stage_us, &stage_errors,
-                      set = std::move(to_copy[c])] {
-          stage_core(c, set, stage_us[c], stage_errors[c]);
-        });
+    system::SystemRunResult res;
+    try {
+      res = sys_.run(dispatches, inline_round,
+                     [&](unsigned c) { stage_core(c, to_copy[c]); });
+    } catch (...) {
+      // A failed round is never merged. Each dispatched core may hold
+      // words it was sent and words it stored that the master never saw:
+      // mark both stale so its next launch restages them from the master.
+      for (const auto& d : dispatches) {
+        RangeSet& stale = stale_[d.core];
+        stale = union_sets(stale, to_copy[d.core]);
+        for (const auto& [lo, hi] : sys_.core(d.core).store_windows()) {
+          stale.insert(lo, hi);
+        }
       }
-    }
-    const auto res = sys_.run(dispatches, inline_round);
-    for (const auto& e : stage_errors) {
-      if (e) {
-        std::rethrow_exception(e);
-      }
+      throw;
     }
 
     // Roll up: cores run in parallel, so the round's clock cost is the
@@ -296,6 +279,7 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
       const unsigned c = dispatches[i].core;
       out.per_core[c].exec_cycles += res.per_core[i].perf.cycles;
       out.per_core[c].rounds += 1;
+      out.per_core[c].host_stage_us += res.stage_us[i];
       out.per_core[c].host_exec_us += res.host_us[i];
       costs[c].exec_cycles = res.per_core[i].perf.cycles;
       if (res.per_core[i].perf.cycles >= worst) {
@@ -395,8 +379,7 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
     sys_.core(c).set_thread_base(0);
     sys_.core(c).set_ntid_override(0);
     out.staged_words_skipped += skipped[c].words();
-    out.per_core[c].host_stage_us = stage_us[c];
-    out.host_stage_us += stage_us[c];
+    out.host_stage_us += out.per_core[c].host_stage_us;
     out.host_exec_us += out.per_core[c].host_exec_us;
   }
 
@@ -416,36 +399,29 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
   return out;
 }
 
-void MultiCoreBackend::stage_core(unsigned c, const RangeSet& set,
-                                  double& us, std::exception_ptr& err) {
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    faults::SiteOutcome bend;
-    if (faults_) {
-      bend = faults_->at(faults::FaultSite::Staging);
-    }
-    auto& gpu = sys_.core(c);
-    bool first = true;
-    for (const auto& r : set.ranges()) {
-      if (first && bend.corrupt && r.words() > 0) {
-        // Corrupt the staged copy, never the master image: flip one bit
-        // of a local duplicate of the first range and ship that.
-        std::vector<std::uint32_t> bent(master_.data() + r.lo,
-                                        master_.data() + r.lo + r.words());
-        bent[bend.corrupt_word % bent.size()] ^= bend.corrupt_mask;
-        gpu.write_shared_span(
-            r.lo, std::span<const std::uint32_t>(bent.data(), bent.size()));
-      } else {
-        gpu.write_shared_span(
-            r.lo, std::span<const std::uint32_t>(master_.data() + r.lo,
-                                                 r.words()));
-      }
-      first = false;
-    }
-  } catch (...) {
-    err = std::current_exception();
+void MultiCoreBackend::stage_core(unsigned c, const RangeSet& set) {
+  faults::SiteOutcome bend;
+  if (faults_) {
+    bend = faults_->at(faults::FaultSite::Staging);
   }
-  us += host_us_since(t0);
+  auto& gpu = sys_.core(c);
+  bool first = true;
+  for (const auto& r : set.ranges()) {
+    if (first && bend.corrupt && r.words() > 0) {
+      // Corrupt the staged copy, never the master image: flip one bit of a
+      // local duplicate of the first range and ship that.
+      std::vector<std::uint32_t> bent(master_.data() + r.lo,
+                                      master_.data() + r.lo + r.words());
+      bent[bend.corrupt_word % bent.size()] ^= bend.corrupt_mask;
+      gpu.write_shared_span(
+          r.lo, std::span<const std::uint32_t>(bent.data(), bent.size()));
+    } else {
+      gpu.write_shared_span(
+          r.lo,
+          std::span<const std::uint32_t>(master_.data() + r.lo, r.words()));
+    }
+    first = false;
+  }
 }
 
 void MultiCoreBackend::read_words(std::uint32_t base,
@@ -549,8 +525,7 @@ std::unique_ptr<DeviceBackend> make_backend(const DeviceDescriptor& desc) {
       cfg.num_cores = desc.num_cores;
       cfg.core = desc.core;
       return std::make_unique<MultiCoreBackend>(
-          cfg, desc.staging_words_per_cycle, desc.stage_workers,
-          desc.faults);
+          cfg, desc.staging_words_per_cycle, desc.faults);
     }
     case BackendKind::Scalar:
       return std::make_unique<ScalarBackend>(desc.scalar);
@@ -587,7 +562,7 @@ Module& Device::load_module(std::string_view source) {
   }
   ++cache_misses_;
   auto module = std::make_unique<Module>(std::string(source),
-                                         assembler::assemble(source), key);
+                                         assembler::assemble(source));
   auto [inserted, ok] = modules_.emplace(key, std::move(module));
   (void)ok;
   return *inserted->second;

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -58,18 +57,6 @@ struct DeviceDescriptor {
   /// default models a 32-bit bridge running at the core clock (one word
   /// per cycle), the common soft-logic host interface.
   double staging_words_per_cycle = 1.0;
-  /// MultiCore only: how many cores run their per-round shard staging on
-  /// their own persistent dispatch workers (capped at num_cores; the
-  /// default offloads every core). A staged core's copy-in overlaps
-  /// sibling cores' staging and execution in *real* simulator wall time.
-  /// 0 pins the serial reference path: every copy runs on the submitting
-  /// thread (simt-run --stage-workers). Applies to pooled rounds; a round
-  /// small enough to run inline (MultiCoreBackend::kInlineRoundWork)
-  /// stages every core on the launching thread. Purely physical -- the
-  /// modeled timeline, staged-word accounting, and all results are
-  /// bit-identical either way.
-  static constexpr unsigned kAllStageWorkers = ~0u;
-  unsigned stage_workers = kAllStageWorkers;
   /// Optional deterministic fault plan (common/faults.hpp). Null (the
   /// default) keeps every injection hook an untaken null-check branch, so
   /// the modeled timeline and all results are bit-identical to a device
@@ -123,7 +110,7 @@ struct LaunchStats {
 
   // Measured host (simulator) wall-time splits -- what this process really
   // spent, so the modeled overlap above can be validated against reality.
-  // stage/exec sum across cores (they overlap under parallel staging, so
+  // stage/exec sum across cores (they overlap in a pooled round, so
   // the sum can exceed the end-to-end figure); merge is submitting-thread
   // time; host_wall_us is the whole backend launch, end to end.
   double host_stage_us = 0.0;
@@ -255,7 +242,7 @@ class SimtCoreBackend final : public DeviceBackend {
 class MultiCoreBackend final : public DeviceBackend {
  public:
   MultiCoreBackend(const system::SystemConfig& cfg,
-                   double staging_words_per_cycle, unsigned stage_workers,
+                   double staging_words_per_cycle,
                    std::shared_ptr<faults::FaultInjector> faults = nullptr);
 
   std::string_view name() const override { return "multicore"; }
@@ -284,7 +271,7 @@ class MultiCoreBackend final : public DeviceBackend {
   /// Rounds whose predicted host work -- the words the round stages plus
   /// its threads times the decoded image length -- is below this run
   /// inline: every core stages and executes on the launching thread, core
-  /// after core. Larger rounds post per-core stage and run jobs to the
+  /// after core. Larger rounds post one stage-then-run job per core to the
   /// dispatch workers. Measured on a 4-vCPU host (4 cores, Release): a
   /// pooled round pays ~15 us of hand-offs and lost to the inline round at
   /// every size measured below 64K (1.1-5.9x slower); above it the two
@@ -298,11 +285,10 @@ class MultiCoreBackend final : public DeviceBackend {
 
  private:
   /// Copy `set` from the master image into core `c`'s private image: the
-  /// one staging body, called on the launching thread or posted to the
-  /// core's dispatch worker. Consults the Staging fault site once per call;
-  /// time spent adds to `us` and a failure is captured into `err`.
-  void stage_core(unsigned c, const RangeSet& set, double& us,
-                  std::exception_ptr& err);
+  /// staging half of each core's dispatch body (MultiCoreSystem::run), on
+  /// whichever thread runs that core. Consults the Staging fault site once
+  /// per call and throws what it injects.
+  void stage_core(unsigned c, const RangeSet& set);
 
   system::MultiCoreSystem sys_;
   std::vector<std::uint32_t> master_;  ///< host-coherent memory image
@@ -310,10 +296,6 @@ class MultiCoreBackend final : public DeviceBackend {
   /// on (host writes and sibling cores' merged output shards).
   std::vector<RangeSet> stale_;
   double staging_words_per_cycle_;
-  /// In pooled rounds, cores [0, stage_workers_) stage on their own
-  /// dispatch workers; the rest stage serially on the submitting thread.
-  /// See DeviceDescriptor::stage_workers.
-  unsigned stage_workers_;
   /// The device's fault plan (Staging site); null = no injection.
   std::shared_ptr<faults::FaultInjector> faults_;
   std::uint64_t inline_round_work_ = kInlineRoundWork;  ///< see setter

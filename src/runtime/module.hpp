@@ -46,14 +46,11 @@ std::uint64_t hash_source(std::string_view source);
 
 class Module {
  public:
-  Module(std::string source, core::Program program, std::uint64_t hash)
-      : source_(std::move(source)),
-        program_(std::move(program)),
-        hash_(hash) {}
+  Module(std::string source, core::Program program)
+      : source_(std::move(source)), program_(std::move(program)) {}
 
   const core::Program& program() const { return program_; }
   const std::string& source() const { return source_; }
-  std::uint64_t source_hash() const { return hash_; }
 
   /// Entry-point handle. With no label, execution starts at address 0;
   /// otherwise the label is resolved from the assembler's symbol table
@@ -69,7 +66,6 @@ class Module {
  private:
   std::string source_;
   core::Program program_;
-  std::uint64_t hash_;
 };
 
 }  // namespace simt::runtime

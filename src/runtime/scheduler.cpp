@@ -85,15 +85,6 @@ void Scheduler::wait(Ticket t) {
   }
 }
 
-void Scheduler::wait_all() {
-  Ticket last;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    last = next_ticket_ - 1;
-  }
-  wait(last);
-}
-
 void Scheduler::pause() {
   std::lock_guard<std::mutex> lock(mutex_);
   paused_ = true;

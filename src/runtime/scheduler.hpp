@@ -168,8 +168,6 @@ class Scheduler {
   /// Errors are reported through the command's stream error slot and
   /// event, not here -- see Stream::synchronize() and Event::wait().
   void wait(Ticket t);
-  /// Block until every submitted command has executed.
-  void wait_all();
 
   /// Retired watermark: every ticket <= this has executed (non-blocking;
   /// ticket 0 is always retired). Lock-free, so streams can prune their

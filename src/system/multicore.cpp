@@ -44,7 +44,7 @@ void MultiCoreSystem::load_kernel(unsigned core, std::string_view source) {
 }
 
 SystemRunResult MultiCoreSystem::run(const std::vector<Dispatch>& dispatches,
-                                     bool inline_round) {
+                                     bool inline_round, const StageFn& stage) {
   std::set<unsigned> seen;
   for (const auto& d : dispatches) {
     if (d.core >= cores_.size()) {
@@ -58,27 +58,36 @@ SystemRunResult MultiCoreSystem::run(const std::vector<Dispatch>& dispatches,
 
   // The cores are independent hardware; a pooled round simulates them
   // concurrently on the persistent per-core dispatch workers. A faulting
-  // core (e.g. an out-of-bounds store) must not tear down the process from
-  // a worker thread, so the body captures its exception and the first one
-  // is rethrown here after every core has settled -- on both paths, so a
-  // fault surfaces the same way inline or pooled.
+  // body (a staging fault, an out-of-bounds store) must not tear down the
+  // process from a worker thread, so it captures its exception and the
+  // first one is rethrown here after every core has settled -- on both
+  // paths, so a fault surfaces the same way inline or pooled.
   SystemRunResult res;
   res.per_core.resize(dispatches.size());
   res.host_us.resize(dispatches.size(), 0.0);
+  res.stage_us.resize(dispatches.size(), 0.0);
   std::vector<std::exception_ptr> errors(dispatches.size());
+  const auto us_since = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
   const auto run_dispatch = [&](std::size_t i) {
     const auto& d = dispatches[i];
-    const auto t0 = std::chrono::steady_clock::now();
+    auto t0 = std::chrono::steady_clock::now();
     try {
+      if (stage) {
+        stage(d.core);
+        res.stage_us[i] = us_since(t0);
+        t0 = std::chrono::steady_clock::now();
+      }
       auto& gpu = cores_[d.core];
       gpu.set_thread_count(d.threads);
       res.per_core[i] = gpu.run(d.entry);
     } catch (...) {
       errors[i] = std::current_exception();
     }
-    res.host_us[i] = std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+    res.host_us[i] = us_since(t0);
   };
   {
     // Posted jobs reference this frame: drain before leaving it, also if a

@@ -56,6 +56,9 @@ struct SystemRunResult {
   /// modeled wall_us, so a runtime can validate its overlap model against
   /// what the simulator actually spent.
   std::vector<double> host_us;
+  /// Measured host wall time of each dispatch's stage body (same index;
+  /// zero without one). Timed apart from host_us.
+  std::vector<double> stage_us;
 
   /// Aggregate thread-operations across all cores.
   std::uint64_t total_thread_ops() const {
@@ -89,29 +92,25 @@ class MultiCoreSystem {
   /// decode-cache path; the image must match the core configuration).
   void load_image_all(std::shared_ptr<const core::DecodedImage> image);
 
-  /// Launch the given dispatches concurrently (each core at most once) and
-  /// account wall-clock at the realized system clock. Throws simt::Error on
-  /// duplicate core ids; a core that faults mid-kernel rethrows here after
-  /// every core settled. A pooled round posts one run job per core to that
-  /// core's persistent dispatch worker (FIFO behind anything already posted
-  /// there -- the ordering hook parallel staging rides on) and sleeps in
-  /// drain() until every worker is idle: a queue push, a worker wake-up and
-  /// a drain wake-up per core, tens of microseconds of host time. An
-  /// `inline_round` runs the same per-dispatch body on the calling thread
-  /// instead, core after core, for rounds too small to repay those
-  /// hand-offs (runtime::MultiCoreBackend decides which). Results are
-  /// identical either way.
-  SystemRunResult run(const std::vector<Dispatch>& dispatches,
-                      bool inline_round = false);
+  /// Host-side input staging for one core, run just before that core's
+  /// kernel on the same thread (see run()).
+  using StageFn = std::function<void(unsigned core)>;
 
-  /// Queue an arbitrary job on core `i`'s persistent worker (FIFO per
-  /// core). Jobs must not throw -- capture and re-raise at the call site.
-  /// drain() blocks until every worker's queue is empty and idle, and is
-  /// the synchronization point that makes worker-side effects visible.
-  void post(unsigned i, std::function<void()> job) {
-    pool_.post(i, std::move(job));
-  }
-  void drain() { pool_.drain(); }
+  /// Launch the given dispatches concurrently (each core at most once) and
+  /// account wall-clock at the realized system clock. Each dispatch is one
+  /// body: `stage(core)` if given, then the core's run. A pooled round
+  /// posts one such job per core to that core's persistent dispatch worker
+  /// and waits until every worker is idle: a queue push, a worker wake-up
+  /// and a drain wake-up per core, tens of microseconds of host time. An
+  /// `inline_round` runs the same bodies on the calling thread instead,
+  /// core after core, for rounds too small to repay those hand-offs
+  /// (runtime::MultiCoreBackend decides which). Results are identical
+  /// either way. Throws simt::Error on duplicate core ids. A body that
+  /// throws (a staging fault, a core faulting mid-kernel) skips the rest
+  /// of that body; the first such error rethrows here after every core
+  /// settled.
+  SystemRunResult run(const std::vector<Dispatch>& dispatches,
+                      bool inline_round = false, const StageFn& stage = {});
 
   /// Partition [0, total) into per-core contiguous slices (last core takes
   /// the remainder). Helper for host-side work distribution.

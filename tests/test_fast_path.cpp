@@ -6,10 +6,11 @@
 // per lane) and the independent ReferenceInterpreter -- registers,
 // predicates, shared memory, AND perf counters (timing is computed apart
 // from lane evaluation, so the cycle model may not shift by engine).
-// The fast path itself runs twice: with the SIMD batched lane engine
-// (CoreConfig::simd_lanes, the default) and with it pinned off, so the
-// batch thunks, the guard-uniformity prescan, and the scalar fallback all
-// face the same exhaustive opcode x guard matrix.
+// The fast path tries the SIMD batched lane engine first and falls back to
+// its scalar per-lane bodies on divergent guards, unbatchable formats and
+// out-of-bounds lanes, so the batch thunks, the guard-uniformity prescan,
+// and the scalar fallback all face the same exhaustive opcode x guard
+// matrix.
 //
 // Coverage: an exhaustive opcode x guard sweep over every guardable
 // (operation/load/store class) instruction, a control-flow program covering
@@ -82,25 +83,19 @@ void expect_perf_eq(const PerfCounters& a, const PerfCounters& b,
   EXPECT_EQ(a.per_opcode, b.per_opcode) << what;
 }
 
-/// Run one program on the batched fast engine, the scalar-lane fast engine
-/// (simd_lanes pinned off), the bit-accurate engine, and the reference
-/// interpreter from identical random initial state; all architectural
-/// state must match, and the three Gpgpu engines must agree on every perf
-/// counter.
+/// Run one program on the batched fast engine, the bit-accurate engine, and
+/// the reference interpreter from identical random initial state; all
+/// architectural state must match, and the two Gpgpu engines must agree on
+/// every perf counter.
 void run_differential(const Program& prog, std::uint64_t seed,
                       const std::string& what) {
-  CoreConfig scalar_cfg = engine_cfg(false);
-  scalar_cfg.simd_lanes = false;
   Gpgpu fast(engine_cfg(false));
-  Gpgpu scalar_fast(scalar_cfg);
   Gpgpu accurate(engine_cfg(true));
   ReferenceInterpreter ref(engine_cfg(false));
   fast.load_program(prog);
-  scalar_fast.load_program(prog);
   accurate.load_program(prog);
   ref.load_program(prog);
   fast.set_thread_count(kThreads);
-  scalar_fast.set_thread_count(kThreads);
   accurate.set_thread_count(kThreads);
   ref.set_thread_count(kThreads);
 
@@ -112,7 +107,6 @@ void run_differential(const Program& prog, std::uint64_t seed,
     for (unsigned r = 0; r < kRegs; ++r) {
       const auto v = init.next_u32();
       fast.write_reg(t, r, v);
-      scalar_fast.write_reg(t, r, v);
       accurate.write_reg(t, r, v);
       ref.write_reg(t, r, v);
     }
@@ -120,28 +114,21 @@ void run_differential(const Program& prog, std::uint64_t seed,
   for (unsigned a = 0; a < kSharedWords; ++a) {
     const auto v = init.next_u32();
     fast.write_shared(a, v);
-    scalar_fast.write_shared(a, v);
     accurate.write_shared(a, v);
     ref.write_shared(a, v);
   }
 
   const auto rf = fast.run();
-  const auto rs = scalar_fast.run();
   const auto ra = accurate.run();
   ref.run();
   ASSERT_TRUE(rf.exited) << what;
-  ASSERT_TRUE(rs.exited) << what;
   ASSERT_TRUE(ra.exited) << what;
   expect_perf_eq(rf.perf, ra.perf, what);
-  expect_perf_eq(rf.perf, rs.perf, what + " (simd vs scalar lanes)");
 
   for (unsigned t = 0; t < kThreads; ++t) {
     for (unsigned r = 0; r < kRegs; ++r) {
       ASSERT_EQ(fast.read_reg(t, r), accurate.read_reg(t, r))
           << what << " (vs bit-accurate) thread " << t << " reg " << r
-          << "\n" << prog.listing();
-      ASSERT_EQ(fast.read_reg(t, r), scalar_fast.read_reg(t, r))
-          << what << " (vs scalar lanes) thread " << t << " reg " << r
           << "\n" << prog.listing();
       ASSERT_EQ(fast.read_reg(t, r), ref.read_reg(t, r))
           << what << " (vs reference) thread " << t << " reg " << r << "\n"
@@ -150,8 +137,6 @@ void run_differential(const Program& prog, std::uint64_t seed,
     for (unsigned p = 0; p < 4; ++p) {
       ASSERT_EQ(fast.read_pred(t, p), accurate.read_pred(t, p))
           << what << " thread " << t << " pred " << p;
-      ASSERT_EQ(fast.read_pred(t, p), scalar_fast.read_pred(t, p))
-          << what << " (vs scalar lanes) thread " << t << " pred " << p;
       ASSERT_EQ(fast.read_pred(t, p), ref.read_pred(t, p))
           << what << " (vs reference) thread " << t << " pred " << p;
     }
@@ -159,8 +144,6 @@ void run_differential(const Program& prog, std::uint64_t seed,
   for (unsigned a = 0; a < kSharedWords; ++a) {
     ASSERT_EQ(fast.read_shared(a), accurate.read_shared(a))
         << what << " addr " << a;
-    ASSERT_EQ(fast.read_shared(a), scalar_fast.read_shared(a))
-        << what << " (vs scalar lanes) addr " << a;
     ASSERT_EQ(fast.read_shared(a), ref.read_shared(a))
         << what << " (vs reference) addr " << a;
   }

@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -191,25 +192,93 @@ TEST(FaultSites, ReplaySiteFailsTheCompositeAndHeals) {
   }
 }
 
+/// The two multicore round paths: inline on the launching thread (the
+/// default for small rounds) and pooled on the dispatch workers.
+constexpr std::uint64_t kRoundPaths[] = {rt::MultiCoreBackend::kInlineRoundWork,
+                                         0};
+
 TEST(FaultSites, StagingSiteFiresOnMultiCoreAndIsSurvived) {
-  // Every staging path consults the site once per dispatched core: the
-  // launching thread (an inline round, or serial staging with
-  // stage_workers = 0) and the dispatch workers (a pooled round).
-  for (const unsigned workers : {0u, rt::DeviceDescriptor::kAllStageWorkers}) {
-    for (const std::uint64_t work : {rt::MultiCoreBackend::kInlineRoundWork,
-                                     std::uint64_t{0}}) {
-      const std::string what = "stage_workers=" + std::to_string(workers) +
-                               " inline_round_work=" + std::to_string(work);
-      auto desc = rt::DeviceDescriptor::multi_core(2, small_cfg());
-      desc.stage_workers = workers;
-      rt::Device dev(with_faults(desc, "staging:transient:limit=1"));
-      dev.backend_as<rt::MultiCoreBackend>()->set_inline_round_work(work);
-      rt::Module& mod = dev.load_module("movi %r1, 1\nexit\n");
-      EXPECT_THROW(dev.launch_sync(mod.kernel(), 64), faults::TransientFault)
+  // Each dispatched core consults the site once, in its own dispatch body:
+  // on the launching thread (an inline round) or its dispatch worker (a
+  // pooled round).
+  for (const std::uint64_t work : kRoundPaths) {
+    const std::string what = "inline_round_work=" + std::to_string(work);
+    rt::Device dev(with_faults(rt::DeviceDescriptor::multi_core(2, small_cfg()),
+                               "staging:transient:limit=1"));
+    dev.backend_as<rt::MultiCoreBackend>()->set_inline_round_work(work);
+    rt::Module& mod = dev.load_module("movi %r1, 1\nexit\n");
+    EXPECT_THROW(dev.launch_sync(mod.kernel(), 64), faults::TransientFault)
+        << what;
+    EXPECT_EQ(dev.fault_injector()->triggers(FaultSite::Staging), 2u)
+        << what;
+    EXPECT_NO_THROW(dev.launch_sync(mod.kernel(), 64)) << what;
+  }
+}
+
+TEST(FaultSites, FailedMultiCoreRoundResyncsEveryCoreWithTheMaster) {
+  // A round that throws is never merged. The next launch must still see
+  // the master image on every core: the faulted core never received its
+  // inputs, and a sibling that ran holds stores the master never saw.
+  constexpr unsigned kN = 128;  // two 64-thread cores, one round
+  for (const std::uint64_t work : kRoundPaths) {
+    const std::string what = "inline_round_work=" + std::to_string(work);
+    const auto open = [work] {
+      auto dev = std::make_unique<rt::Device>(
+          with_faults(rt::DeviceDescriptor::multi_core(2, small_cfg()),
+                      "staging:transient:limit=1"));
+      dev->backend_as<rt::MultiCoreBackend>()->set_inline_round_work(work);
+      return dev;
+    };
+
+    {  // Relaunching on the same buffers recomputes from the master.
+      auto dev = open();
+      const auto vecadd =
+          dev->load_module(kernels::vecadd_abi()).kernel("vecadd");
+      auto a = dev->alloc<std::uint32_t>(kN);
+      auto b = dev->alloc<std::uint32_t>(kN);
+      auto c = dev->alloc<std::uint32_t>(kN);
+      std::vector<std::uint32_t> av(kN), bv(kN);
+      for (unsigned i = 0; i < kN; ++i) {
+        av[i] = i + 1;
+        bv[i] = 1000 * (i + 1);
+      }
+      a.write(av);
+      b.write(bv);
+      const auto args = rt::KernelArgs().arg(a).arg(b).arg(c);
+      EXPECT_THROW(dev->launch_sync(vecadd, kN, args), faults::TransientFault)
           << what;
-      EXPECT_EQ(dev.fault_injector()->triggers(FaultSite::Staging), 2u)
+      EXPECT_NO_THROW(dev->launch_sync(vecadd, kN, args)) << what;
+      for (unsigned i = 0; i < kN; ++i) {
+        ASSERT_EQ(c.at(i), av[i] + bv[i]) << what << " c[" << i << "]";
+      }
+    }
+
+    {  // An in-place update applies exactly once per clean launch.
+      auto dev = open();
+      const auto inc = dev->load_module(
+                              ".kernel inc\n"
+                              ".param d buffer\n"
+                              ".reads d@tid\n"
+                              ".writes d@tid\n"
+                              "movsr %r0, %tid\n"
+                              "lds %r1, [%r0 + $d]\n"
+                              "addi %r1, %r1, 1\n"
+                              "sts [%r0 + $d], %r1\n"
+                              "exit\n")
+                           .kernel("inc");
+      auto d = dev->alloc<std::uint32_t>(kN);
+      std::vector<std::uint32_t> dv(kN);
+      for (unsigned i = 0; i < kN; ++i) {
+        dv[i] = 100 + i;
+      }
+      d.write(dv);
+      const auto args = rt::KernelArgs().arg(d);
+      EXPECT_THROW(dev->launch_sync(inc, kN, args), faults::TransientFault)
           << what;
-      EXPECT_NO_THROW(dev.launch_sync(mod.kernel(), 64)) << what;
+      EXPECT_NO_THROW(dev->launch_sync(inc, kN, args)) << what;
+      for (unsigned i = 0; i < kN; ++i) {
+        ASSERT_EQ(d.at(i), dv[i] + 1) << what << " d[" << i << "]";
+      }
     }
   }
 }

@@ -1,11 +1,11 @@
-// Differential tests for the multicore execution paths. Launches staged on
-// the per-core dispatch workers (DeviceDescriptor::stage_workers, the
-// default) must be bit-identical to the serial reference path
-// (stage_workers = 0), and rounds run inline on the launching thread must
-// be bit-identical to rounds posted to the worker pool -- same final
-// master image, same per-core private images, same staged/merged/skipped
-// word accounting, and same modeled perf counters -- across randomized
-// host dirty ranges, overlapping footprints, and multi-round grids.
+// Differential tests for the multicore execution paths. Rounds run inline
+// on the launching thread (every core staged and run there, core after
+// core) must be bit-identical to rounds posted to the worker pool (one
+// stage-then-run job per core on that core's dispatch worker) -- same
+// final master image, same per-core private images, same
+// staged/merged/skipped word accounting, and same modeled perf counters --
+// across randomized host dirty ranges, overlapping footprints, and
+// multi-round grids.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -35,20 +35,18 @@ core::CoreConfig small_cfg(unsigned mem_words = kMemWords) {
   return c;
 }
 
-DeviceDescriptor multicore_desc(unsigned stage_workers,
-                                unsigned mem_words = kMemWords) {
-  auto desc = DeviceDescriptor::multi_core(kCores, small_cfg(mem_words));
-  desc.stage_workers = stage_workers;
-  return desc;
+DeviceDescriptor multicore_desc(unsigned mem_words = kMemWords) {
+  return DeviceDescriptor::multi_core(kCores, small_cfg(mem_words));
 }
 
 /// How one side of a differential runs its rounds.
 struct Side {
-  unsigned stage_workers = 0;
-  /// MultiCoreBackend::set_inline_round_work: the default threshold, 0 to
-  /// pool every round, or kAllInline to run every round inline.
+  /// MultiCoreBackend::set_inline_round_work: the default threshold,
+  /// kAllPooled to pool every round, or kAllInline to run every round
+  /// inline.
   std::uint64_t inline_round_work = MultiCoreBackend::kInlineRoundWork;
 };
+constexpr std::uint64_t kAllPooled = 0;
 constexpr std::uint64_t kAllInline = ~std::uint64_t{0};
 
 /// The shape of a randomized scenario.
@@ -108,8 +106,8 @@ void expect_stats_eq(const LaunchStats& a, const LaunchStats& b,
 void run_scenario(Side a, Side b, std::uint64_t seed, bool declared_abi,
                   const std::string& what, Shape shape = {},
                   unsigned* pooled_launches = nullptr) {
-  Device dev_a(multicore_desc(a.stage_workers, shape.mem_words));
-  Device dev_b(multicore_desc(b.stage_workers, shape.mem_words));
+  Device dev_a(multicore_desc(shape.mem_words));
+  Device dev_b(multicore_desc(shape.mem_words));
   dev_a.backend_as<MultiCoreBackend>()->set_inline_round_work(
       a.inline_round_work);
   dev_b.backend_as<MultiCoreBackend>()->set_inline_round_work(
@@ -205,27 +203,26 @@ void run_scenario(Side a, Side b, std::uint64_t seed, bool declared_abi,
   }
 }
 
-TEST(ParallelStaging, RandomizedDifferentialMatchesSerial) {
+TEST(ParallelStaging, RandomizedInlineMatchesPooled) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    run_scenario(Side{0}, Side{DeviceDescriptor::kAllStageWorkers}, seed,
+    run_scenario(Side{kAllInline}, Side{kAllPooled}, seed,
                  /*declared_abi=*/false,
                  "conservative seed " + std::to_string(seed));
   }
 }
 
-TEST(ParallelStaging, StagingHeavyPooledRoundsMatchSerial) {
+TEST(ParallelStaging, StagingHeavyRoundsCrossTheThresholdAndMatchInline) {
   // Host dirty ranges of up to 24K words in a 32K-word memory: under
   // conservative staging every core restages them, which puts a launch's
-  // first round above the inline threshold, so the serial-vs-parallel
-  // differential runs on the worker pool with no override.
+  // first round above the inline threshold, so side b (default threshold)
+  // pools those rounds with no override while side a runs all inline.
   Shape heavy;
   heavy.mem_words = 32 * 1024;
   heavy.max_dirty = 24 * 1024;
   unsigned pooled = 0;
   for (const std::uint64_t seed : {4ull, 5ull}) {
-    run_scenario(Side{0}, Side{DeviceDescriptor::kAllStageWorkers}, seed,
-                 /*declared_abi=*/false, "heavy seed " + std::to_string(seed),
-                 heavy, &pooled);
+    run_scenario(Side{kAllInline}, Side{}, seed, /*declared_abi=*/false,
+                 "heavy seed " + std::to_string(seed), heavy, &pooled);
   }
   EXPECT_GT(pooled, 0u) << "no launch crossed the inline threshold";
 }
@@ -234,74 +231,67 @@ TEST(ParallelStaging, InlineAndPooledRoundsAgree) {
   // The same randomized launch sequence with every round inline on one
   // device and every round pooled on the other: identical master, per-core
   // images, word accounting and perf counters, for conservative and
-  // declared footprints and for serial and worker staging.
-  const Side inline_side{DeviceDescriptor::kAllStageWorkers, kAllInline};
-  for (const unsigned workers : {0u, DeviceDescriptor::kAllStageWorkers}) {
-    for (const bool declared : {false, true}) {
-      const std::uint64_t seed = 0x1a7e + workers % 7 + (declared ? 1 : 0);
-      run_scenario(inline_side, Side{workers, 0}, seed, declared,
+  // declared footprints.
+  for (const bool declared : {false, true}) {
+    for (const std::uint64_t seed : {0x1a7eull, 0x5eedull}) {
+      run_scenario(Side{kAllInline}, Side{kAllPooled}, seed + declared,
+                   declared,
                    std::string(declared ? "declared" : "conservative") +
-                       " workers=" + std::to_string(workers));
+                       " seed " + std::to_string(seed + declared));
     }
   }
 }
 
-TEST(ParallelStaging, PartialWorkerCountsAgreeToo) {
-  // stage_workers between 0 and num_cores mixes worker-staged and
-  // submitting-thread-staged cores in one pooled round.
-  for (const unsigned workers : {1u, 2u, 3u}) {
-    run_scenario(Side{0, 0}, Side{workers, 0}, 0x5eedull + workers,
-                 /*declared_abi=*/true,
-                 "workers=" + std::to_string(workers));
-  }
-}
-
 TEST(ParallelStaging, MeasuredWallSplitsArePopulated) {
-  Device dev(multicore_desc(DeviceDescriptor::kAllStageWorkers));
-  auto in = dev.alloc<std::uint32_t>(256);
-  auto out = dev.alloc<std::uint32_t>(256);
-  Module& mod = dev.load_module(
-      "movsr %r0, %tid\n"
-      "lds %r1, [%r0 + " + std::to_string(in.word_base()) + "]\n"
-      "addi %r2, %r1, 1\n"
-      "sts [%r0 + " + std::to_string(out.word_base()) + "], %r2\n"
-      "exit\n");
-  std::vector<std::uint32_t> host(256, 5);
-  in.write(host);
+  // Stage and run time are timed apart on both paths.
+  for (const std::uint64_t work : {kAllInline, kAllPooled}) {
+    const std::string what = "inline_round_work=" + std::to_string(work);
+    Device dev(multicore_desc());
+    dev.backend_as<MultiCoreBackend>()->set_inline_round_work(work);
+    auto in = dev.alloc<std::uint32_t>(256);
+    auto out = dev.alloc<std::uint32_t>(256);
+    Module& mod = dev.load_module(
+        "movsr %r0, %tid\n"
+        "lds %r1, [%r0 + " + std::to_string(in.word_base()) + "]\n"
+        "addi %r2, %r1, 1\n"
+        "sts [%r0 + " + std::to_string(out.word_base()) + "], %r2\n"
+        "exit\n");
+    std::vector<std::uint32_t> host(256, 5);
+    in.write(host);
 
-  const auto stats = dev.launch_sync(mod.kernel(), 256);
-  EXPECT_GT(stats.host_wall_us, 0.0);
-  EXPECT_GT(stats.host_exec_us, 0.0);
-  EXPECT_GT(stats.host_stage_us, 0.0);  // host wrote 256 words pre-launch
-  EXPECT_GE(stats.host_merge_us, 0.0);
-  double per_core_exec = 0.0;
-  double per_core_stage = 0.0;
-  for (const auto& c : stats.per_core) {
-    EXPECT_GE(c.host_exec_us, 0.0);
-    per_core_exec += c.host_exec_us;
-    per_core_stage += c.host_stage_us;
-  }
-  EXPECT_DOUBLE_EQ(per_core_exec, stats.host_exec_us);
-  EXPECT_DOUBLE_EQ(per_core_stage, stats.host_stage_us);
-  for (unsigned i = 0; i < 256; ++i) {
-    ASSERT_EQ(out.at(i), 6u) << i;
+    const auto stats = dev.launch_sync(mod.kernel(), 256);
+    EXPECT_GT(stats.host_wall_us, 0.0) << what;
+    EXPECT_GT(stats.host_exec_us, 0.0) << what;
+    EXPECT_GT(stats.host_stage_us, 0.0) << what;  // 256 words written
+    EXPECT_GE(stats.host_merge_us, 0.0) << what;
+    double per_core_exec = 0.0;
+    double per_core_stage = 0.0;
+    for (const auto& c : stats.per_core) {
+      EXPECT_GE(c.host_exec_us, 0.0) << what;
+      per_core_exec += c.host_exec_us;
+      per_core_stage += c.host_stage_us;
+    }
+    EXPECT_DOUBLE_EQ(per_core_exec, stats.host_exec_us) << what;
+    EXPECT_DOUBLE_EQ(per_core_stage, stats.host_stage_us) << what;
+    for (unsigned i = 0; i < 256; ++i) {
+      ASSERT_EQ(out.at(i), 6u) << what << " " << i;
+    }
   }
 }
 
-TEST(ParallelStaging, StageWorkersClampAndFaultsStillSurface) {
+TEST(ParallelStaging, FaultsSurfaceOnBothPaths) {
   // Inline rounds (the default for these small launches) and pooled ones.
   for (const std::uint64_t work : {MultiCoreBackend::kInlineRoundWork,
-                                   std::uint64_t{0}}) {
+                                   kAllPooled}) {
     const std::string what = "inline_round_work=" + std::to_string(work);
-    // An absurd worker count clamps to num_cores instead of failing.
-    Device dev(multicore_desc(1000));
+    Device dev(multicore_desc());
     dev.backend_as<MultiCoreBackend>()->set_inline_round_work(work);
     Module& ok = dev.load_module("movi %r1, 1\nexit\n");
     EXPECT_TRUE(dev.launch_sync(ok.kernel(), 4 * kThreadsPerCore).exited)
         << what;
 
-    // A faulting kernel still surfaces its error with worker staging
-    // armed, and the device stays usable afterwards.
+    // A faulting kernel surfaces its error, and the device stays usable
+    // afterwards.
     Module& bad = dev.load_module(
         "movi %r0, 9999\n"
         "sts [%r0], %r0\n"

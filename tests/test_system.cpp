@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace simt::system {
@@ -99,6 +103,62 @@ TEST(System, AggregateThreadOps) {
   const auto res = sys.run({{0, 128}, {1, 64}});
   EXPECT_EQ(res.total_thread_ops(), res.per_core[0].perf.thread_ops +
                                         res.per_core[1].perf.thread_ops);
+}
+
+/// Stage per-core vecadd inputs: a[i] = i * (core + 1), b[i] = 10.
+void stage_vecadd_inputs(MultiCoreSystem& sys, unsigned c) {
+  for (unsigned i = 0; i < 128; ++i) {
+    sys.core(c).write_shared(i, i * (c + 1));
+    sys.core(c).write_shared(128 + i, 10);
+  }
+}
+
+TEST(System, EachCoreStagesThenRunsAsOneBody) {
+  // Inline: every body on the calling thread. Pooled: one job per core,
+  // each on that core's own dispatch worker.
+  for (const bool inline_round : {true, false}) {
+    MultiCoreSystem sys(small_system(3));
+    sys.load_kernel_all(kVecadd);
+    std::vector<std::thread::id> stage_thread(3);
+    const auto res =
+        sys.run({{0, 128}, {1, 128}, {2, 128}}, inline_round,
+                [&](unsigned c) {
+                  stage_thread[c] = std::this_thread::get_id();
+                  stage_vecadd_inputs(sys, c);
+                });
+    ASSERT_EQ(res.stage_us.size(), 3u);
+    std::set<std::thread::id> threads;
+    for (unsigned c = 0; c < 3; ++c) {
+      EXPECT_GE(res.stage_us[c], 0.0);
+      EXPECT_EQ(stage_thread[c] == std::this_thread::get_id(), inline_round)
+          << "core " << c;
+      threads.insert(stage_thread[c]);
+      for (unsigned i = 0; i < 128; ++i) {
+        ASSERT_EQ(sys.core(c).read_shared(256 + i), i * (c + 1) + 10)
+            << "inline=" << inline_round << " core " << c << " i " << i;
+      }
+    }
+    EXPECT_EQ(threads.size(), inline_round ? 1u : 3u);
+  }
+}
+
+TEST(System, AThrowingStageSkipsOnlyItsCoreAndSurfacesAfterAllSettle) {
+  for (const bool inline_round : {true, false}) {
+    MultiCoreSystem sys(small_system(3));
+    sys.load_kernel_all(kVecadd);
+    EXPECT_THROW(sys.run({{0, 128}, {1, 128}, {2, 128}}, inline_round,
+                         [&](unsigned c) {
+                           if (c == 1) {
+                             throw Error("staging failed");
+                           }
+                           stage_vecadd_inputs(sys, c);
+                         }),
+                 Error);
+    // Cores 0 and 2 ran; core 1 never started its kernel.
+    EXPECT_EQ(sys.core(0).read_shared(256 + 5), 5u + 10u);
+    EXPECT_EQ(sys.core(2).read_shared(256 + 5), 15u + 10u);
+    EXPECT_EQ(sys.core(1).read_shared(256 + 5), 0u);
+  }
 }
 
 }  // namespace

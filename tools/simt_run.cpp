@@ -7,9 +7,10 @@
 //                 [--mem file.txt] [--dump base count]
 //                 [--batch M] [--streams N] [--graph-repeat N]
 //                 [--kernel NAME] [--arg base:size | --arg value]...
-//                 [--bit-accurate] [--no-simd-lanes] [--stage-workers N]
+//                 [--bit-accurate]
 //        simt-run --cluster N [--qps R] [--requests K]
 //                 [--fault-spec STR] [--seed N] [--deadline-us N]
+//        simt-run --graph-streams N
 //
 // --cluster N serves a built-in scale workload through a DeviceCluster of
 // N SIMT-core devices (no kernel file): every request is one plan-cached
@@ -30,13 +31,7 @@
 //
 // --bit-accurate simulates lanes through the structural datapath models
 // (Mul33/shifter/LogicUnit) instead of the functional fast path; results
-// are bit-identical, only host simulation speed differs. --no-simd-lanes
-// keeps the functional fast path but pins its scalar per-lane loops
-// instead of the SIMD-batched row engine (CoreConfig::simd_lanes), and
-// --stage-workers N bounds how many multicore shards stage on their own
-// dispatch workers (DeviceDescriptor::stage_workers; 0 = serial staging
-// on the submitting thread) -- both are speed knobs with bit-identical
-// results, kept as CLI toggles so regressions can be bisected in place.
+// are bit-identical, only host simulation speed differs.
 //
 // --kernel starts execution at a `.kernel` (or label) entry instead of
 // address 0 (this works on every backend, including scalar). Each --arg
@@ -328,8 +323,11 @@ int main(int argc, char** argv) {
                  "usage: simt-run <kernel.s> "
                  "[--backend {core,multicore,scalar}] [--cores N] "
                  "[--threads N] [--fmax MHZ] [--mem file] "
-                 "[--dump base count] [--bit-accurate] [--no-simd-lanes] "
-                 "[--stage-workers N]\n"
+                 "[--dump base count]\n"
+                 "                [--batch M] [--streams N] [--graph-repeat N] "
+                 "[--kernel NAME]\n"
+                 "                [--arg base:size | --arg value]... "
+                 "[--bit-accurate]\n"
                  "       simt-run --cluster N [--qps R] [--requests K]\n"
                  "                [--fault-spec STR] [--seed N] "
                  "[--deadline-us N]\n"
@@ -353,8 +351,6 @@ int main(int argc, char** argv) {
   std::string mem_file;
   unsigned dump_base = 0, dump_count = 0;
   bool bit_accurate = false;
-  bool simd_lanes = true;
-  unsigned stage_workers = simt::runtime::DeviceDescriptor::kAllStageWorkers;
   std::string kernel_name;
   simt::runtime::KernelArgs args;
   // `--cluster` needs no kernel file; flags may start at argv[1].
@@ -402,10 +398,6 @@ int main(int argc, char** argv) {
       }
     } else if (!std::strcmp(argv[i], "--bit-accurate")) {
       bit_accurate = true;
-    } else if (!std::strcmp(argv[i], "--no-simd-lanes")) {
-      simd_lanes = false;
-    } else if (!std::strcmp(argv[i], "--stage-workers") && i + 1 < argc) {
-      stage_workers = static_cast<unsigned>(std::stoul(argv[++i]));
     } else if (!std::strcmp(argv[i], "--mem") && i + 1 < argc) {
       mem_file = argv[++i];
     } else if (!std::strcmp(argv[i], "--dump") && i + 2 < argc) {
@@ -459,7 +451,6 @@ int main(int argc, char** argv) {
     cfg.shared_mem_words = 4096;
     cfg.predicates_enabled = true;
     cfg.bit_accurate = bit_accurate;
-    cfg.simd_lanes = simd_lanes;
 
     simt::runtime::DeviceDescriptor desc;
     if (backend == "core") {
@@ -475,7 +466,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     desc.fmax_mhz = fmax;  // 0 keeps the backend's paper-realized default
-    desc.stage_workers = stage_workers;
 
     simt::runtime::Device dev(desc);
     auto& module = dev.load_module(src.str());
