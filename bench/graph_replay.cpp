@@ -351,7 +351,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (graph_timeline.graph_replays != iters) {
-    std::puts("FAIL: every iteration must replay as one composite command");
+    std::puts("FAIL: every iteration must replay as one scheduler command");
     return 1;
   }
   if (ratio < 1.5) {

@@ -14,7 +14,7 @@
 //        rest wait in the admission queue
 //     -> the device's worker replays the plan's pre-instantiated GraphExec
 //        inline (GraphExec::run) on a per-tenant stream -- the per-request
-//        hot path is ONE copy-in rebind + composite replay on ONE thread,
+//        hot path is ONE copy-in rebind + graph replay on ONE thread,
 //        no re-validation and no re-assembly
 //     -> the request's ClusterTicket resolves with the output slice,
 //        host latency, and the serving device.
@@ -111,11 +111,6 @@ struct ClusterConfig {
   /// with a canary replay (Probation). 0 = quarantine is forever (the
   /// pre-probation behavior).
   std::uint64_t probation_delay_us = 0;
-  /// Brownout: when the queue is full AND its oldest entry has waited
-  /// longer than this, shed the lowest-priority queued request (if
-  /// strictly lower-priority than the incoming one) instead of applying
-  /// the overload policy blindly. 0 = off.
-  std::uint64_t brownout_queue_delay_us = 0;
 };
 
 /// Per-request admission options (submit()'s trailing parameter).
@@ -123,9 +118,6 @@ struct SubmitOptions {
   /// Request deadline: -1 = ClusterConfig::default_deadline_us, 0 = none,
   /// > 0 = this many microseconds from submit.
   std::int64_t deadline_us = -1;
-  /// Brownout ordering: higher-priority requests shed lower-priority
-  /// queued work first when the brownout threshold trips.
-  int priority = 0;
 };
 
 /// Device health state machine (see docs/robustness.md). Routable states
@@ -268,7 +260,6 @@ struct ClusterStats {
   std::uint64_t corruption_detected = 0;  ///< verify-hook / canary mismatches
   std::uint64_t probations = 0;   ///< Quarantined -> Probation transitions
   std::uint64_t readmitted = 0;   ///< Probation -> Healthy transitions
-  std::uint64_t brownout_shed = 0;  ///< low-priority brownout evictions
   /// Admitted, not yet started: admission queues plus staged requests
   /// (what queue_capacity bounds).
   std::size_t queued = 0;
@@ -375,10 +366,6 @@ class DeviceCluster {
   void enqueue_locked(Request req, bool front);
   /// Evict the oldest queued request as Shed (lock held; ShedOldest).
   void shed_oldest_locked();
-  /// Brownout (lock held): if the queue is full, stale past the brownout
-  /// threshold, and holds a request strictly lower-priority than
-  /// `priority`, shed that request and return true (space was made).
-  bool brownout_shed_locked(int priority);
   /// Resolve a ticket to a terminal state and update counters (lock held).
   /// Returns false (and changes nothing) if the ticket is already
   /// terminal -- the watchdog and the completion path may race to it.

@@ -50,9 +50,9 @@ namespace simt::faults {
 enum class FaultSite : unsigned {
   CopyIn,   ///< eager / replayed host->device copies (Stream, GraphExec)
   CopyOut,  ///< eager / replayed device->host copies
-  Launch,   ///< Device::execute_plan (eager launches and replay launch subs)
-  Replay,   ///< Scheduler: once per composite graph-replay command
-  Staging,  ///< MultiCoreBackend per-core shard staging jobs
+  Launch,   ///< Device::execute_plan (eager and replayed launches)
+  Replay,   ///< GraphExec: once per replay, before its updates apply
+  Staging,  ///< MultiCoreBackend: once per dispatched core per round
 };
 inline constexpr std::size_t kSiteCount = 5;
 

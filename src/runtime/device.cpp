@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <string>
 
 #include "asm/assembler.hpp"
@@ -251,10 +252,30 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
     const bool inline_round =
         round_words + std::uint64_t{round_total} * image_len <
         inline_round_work_;
+    // Each dispatched core's Staging outcome is drawn here, in core
+    // order, before the round runs: which core a trigger index lands on
+    // is then a function of the dispatch, not of which dispatch worker
+    // gets there first. A thrown fault is kept and rethrown inside that
+    // core's body, so it still skips only that core.
+    std::vector<faults::SiteOutcome> bends(num_cores);
+    std::vector<std::exception_ptr> bend_errors(num_cores);
+    if (faults_) {
+      for (const auto& d : dispatches) {
+        try {
+          bends[d.core] = faults_->at(faults::FaultSite::Staging);
+        } catch (...) {
+          bend_errors[d.core] = std::current_exception();
+        }
+      }
+    }
     system::SystemRunResult res;
     try {
-      res = sys_.run(dispatches, inline_round,
-                     [&](unsigned c) { stage_core(c, to_copy[c]); });
+      res = sys_.run(dispatches, inline_round, [&](unsigned c) {
+        if (bend_errors[c]) {
+          std::rethrow_exception(bend_errors[c]);
+        }
+        stage_core(c, to_copy[c], bends[c]);
+      });
     } catch (...) {
       // A failed round is never merged. Each dispatched core may hold
       // words it was sent and words it stored that the master never saw:
@@ -399,11 +420,8 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
   return out;
 }
 
-void MultiCoreBackend::stage_core(unsigned c, const RangeSet& set) {
-  faults::SiteOutcome bend;
-  if (faults_) {
-    bend = faults_->at(faults::FaultSite::Staging);
-  }
+void MultiCoreBackend::stage_core(unsigned c, const RangeSet& set,
+                                  const faults::SiteOutcome& bend) {
   auto& gpu = sys_.core(c);
   bool first = true;
   for (const auto& r : set.ranges()) {
@@ -539,7 +557,7 @@ Device::Device(DeviceDescriptor desc)
     : desc_(desc),
       backend_(make_backend(desc_)),
       pool_(backend_->mem_words()),
-      scheduler_(std::make_unique<Scheduler>(*this)) {
+      scheduler_(std::make_unique<Scheduler>(fmax_mhz())) {
   if (desc_.staging_words_per_cycle <= 0.0) {
     throw Error("staging_words_per_cycle must be positive");
   }
@@ -681,7 +699,7 @@ void Device::rebind(LaunchPlan& plan, KernelArgs args) const {
 LaunchStats Device::execute_plan(const LaunchPlan& plan) {
   if (auto* f = fault_injector()) {
     // One Launch trigger per plan execution -- eager launches and graph
-    // replay launch subs both funnel through here.
+    // replayed launch nodes both funnel through here.
     f->at(faults::FaultSite::Launch);
   }
   const Kernel& kernel = plan.kernel;

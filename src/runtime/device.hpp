@@ -286,9 +286,11 @@ class MultiCoreBackend final : public DeviceBackend {
  private:
   /// Copy `set` from the master image into core `c`'s private image: the
   /// staging half of each core's dispatch body (MultiCoreSystem::run), on
-  /// whichever thread runs that core. Consults the Staging fault site once
-  /// per call and throws what it injects.
-  void stage_core(unsigned c, const RangeSet& set);
+  /// whichever thread runs that core. `bend` is the core's Staging site
+  /// outcome, drawn on the launching thread before the round: a Corrupt
+  /// flips one bit of the staged copy, never the master.
+  void stage_core(unsigned c, const RangeSet& set,
+                  const faults::SiteOutcome& bend);
 
   system::MultiCoreSystem sys_;
   std::vector<std::uint32_t> master_;  ///< host-coherent memory image

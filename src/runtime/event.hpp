@@ -39,7 +39,7 @@ struct EventState {
   std::size_t capture_node = 0;
   LaunchStats stats{};
   /// For graph-replay events: the replay's modeled engine time priced two
-  /// ways -- every sub-command back to back (serial) and the frozen DAG's
+  /// ways -- every node back to back (serial) and the frozen DAG's
   /// critical path with independent branches overlapped on the engines
   /// (overlap). Zero for ordinary stream events.
   double replay_serial_us = 0.0;
@@ -114,7 +114,7 @@ class Event {
   /// Modeled wall-clock of the launch at the device's realized Fmax.
   double wall_us() const { return stats().wall_us; }
   /// Graph replays only: the replay's modeled engine time with every
-  /// sub-command back to back (the linearized model). Throws while the
+  /// node back to back (the linearized model). Throws while the
   /// replay is in flight; zero for non-replay events.
   double replay_serial_us() const {
     if (failed()) {

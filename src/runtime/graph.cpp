@@ -113,7 +113,6 @@ GraphExec Graph::instantiate() const {
 
   auto state = std::make_shared<GraphExec::State>();
   state->dev = dev_;
-  state->staging_words_per_cycle = dev_->descriptor().staging_words_per_cycle;
 
   // Copy the DAG, fusing as we go: a copy-in whose only dependency is the
   // immediately preceding node, when that node is a same-lane copy-in to
@@ -167,19 +166,37 @@ GraphExec Graph::instantiate() const {
 
   // Validate once, here, what eager submission re-validates per launch:
   // prepare_launch resolves each launch node's patch plan, binding
-  // signature, and staging footprint into a frozen LaunchPlan.
+  // signature, and staging footprint into a frozen LaunchPlan. Each node
+  // also gets its pricing step: engine, words, DMA lane and edges.
+  auto& steps = state->skeleton.steps;
+  steps.resize(state->nodes.size());
+  state->skeleton.cycles.resize(state->nodes.size());
   for (std::size_t i = 0; i < state->nodes.size(); ++i) {
-    const auto& op = state->nodes[i].op;
-    switch (op.kind) {
+    const GraphNode& node = state->nodes[i];
+    ReplayStep& step = steps[i];
+    // Each capture lane keeps its own modeled DMA channel at replay,
+    // drawn from the replaying stream's kChannelStride reservation:
+    // independent lanes' copies overlap exactly as the captured streams'
+    // would have, without aliasing another live stream's channel.
+    step.lane = std::min(node.lane, Stream::kChannelStride - 1);
+    for (const std::size_t d : node.deps) {
+      step.after.push_back(static_cast<std::uint32_t>(d));
+    }
+    switch (node.op.kind) {
       case StreamOp::Kind::Launch:
-        state->launch_nodes.push_back(i);
-        state->plans.push_back(
-            dev_->prepare_launch(op.kernel, op.threads, op.args));
+        step.engine = EngineKind::Exec;
+        state->plans.push_back(dev_->prepare_launch(
+            node.op.kernel, node.op.threads, node.op.args));
         break;
       case StreamOp::Kind::CopyIn:
+        step.engine = EngineKind::Copy;
+        step.words = node.op.data.size();
         ++state->copy_in_nodes;
         break;
       case StreamOp::Kind::CopyOut:
+        step.engine = EngineKind::Copy;
+        step.words = node.op.count;
+        break;
       case StreamOp::Kind::Marker:
         break;
     }
@@ -196,7 +213,7 @@ std::size_t GraphExec::node_count() const {
 }
 
 std::size_t GraphExec::launch_count() const {
-  return state_ ? state_->launch_nodes.size() : 0;
+  return state_ ? state_->plans.size() : 0;
 }
 
 std::size_t GraphExec::copy_in_count() const {
@@ -235,10 +252,9 @@ Event GraphExec::replay(Stream& stream, GraphUpdates updates,
 
   // Validate the updates now, on the submitting thread, so a bad rebind
   // throws here instead of surfacing as a sticky stream error. The
-  // mutation itself is deferred to the executor (first sub-command) so an
-  // in-flight earlier replay is never rebound under. State::mutex covers
-  // these reads (and the payload-size reads below) against that earlier
-  // replay's executor-side apply.
+  // mutation itself is deferred to the replay body so an in-flight
+  // earlier replay is never rebound under. State::mutex covers these
+  // reads against that earlier replay's updates.
   std::unique_lock<std::mutex> state_lock(state->mutex);
   double rebind_us = 0.0;
   for (const auto& [idx, args] : updates.args_) {
@@ -271,148 +287,88 @@ Event GraphExec::replay(Stream& stream, GraphUpdates updates,
   }
 
   auto event_state = std::make_shared<EventState>();
-  auto agg = std::make_shared<LaunchStats>();
-  agg->exited = true;
+  event_state->stats.exited = true;
 
   Scheduler::Command cmd;
-  cmd.engine = EngineKind::None;
   cmd.event = event_state;
+  cmd.channel = stream.channel();
+  cmd.replay = std::shared_ptr<const ReplaySkeleton>(state, &state->skeleton);
   // One submission for the whole replay: the frozen-DAG walk plus the
   // requested rebinds is all the host-side work left.
   cmd.prep_us =
       static_cast<double>(state->nodes.size()) * HostCost::kReplayNodeUs +
       rebind_us;
-
-  std::uint32_t sub_base = 0;  // node index -> sub index offset
-  if (!updates.empty()) {
-    Scheduler::Command apply;
-    apply.engine = EngineKind::None;
-    apply.run = [state,
-                 updates = std::move(updates)]() mutable -> std::uint64_t {
-      std::lock_guard<std::mutex> lock(state->mutex);
-      for (const auto& [idx, args] : updates.args_) {
-        state->dev->rebind(state->plans[idx], args);
-      }
-      for (auto& [idx, data] : updates.copies_) {
-        const auto& seg = state->copy_in_segments[idx];
-        auto& payload = state->nodes[seg.node].op.data;
-        if (seg.offset == 0 && seg.words == payload.size()) {
-          // Safe to steal: the composite runs once, then is destroyed.
-          payload = std::move(data);
-        } else {
-          // The transfer fused into a burst: splice into its segment.
-          std::copy(data.begin(), data.end(),
-                    payload.begin() +
-                        static_cast<std::ptrdiff_t>(seg.offset));
-        }
-      }
-      return 0;
-    };
-    cmd.sub.push_back(std::move(apply));
-    sub_base = 1;
-  }
-
-  std::size_t plan_index = 0;
-  for (std::size_t i = 0; i < state->nodes.size(); ++i) {
-    Scheduler::Command sub;
-    // The frozen DAG's edges, for the timeline: each sub is ready when
-    // the nodes it depends on have finished (the executor still runs the
-    // topological capture order, which satisfies every edge).
-    for (const std::size_t d : state->nodes[i].deps) {
-      sub.after.push_back(static_cast<std::uint32_t>(d) + sub_base);
-    }
-    switch (state->nodes[i].op.kind) {
-      case StreamOp::Kind::CopyIn: {
-        sub.engine = EngineKind::Copy;
-        sub.words = state->nodes[i].op.data.size();
-        // Each capture lane keeps its own modeled DMA channel at replay,
-        // drawn from the replaying stream's kChannelStride reservation:
-        // independent lanes' copies overlap exactly as the captured
-        // streams' would have, without aliasing another live stream's
-        // channel.
-        sub.channel = stream.channel() +
-                      std::min(state->nodes[i].lane, Stream::kChannelStride - 1);
-        const std::uint64_t cycles =
-            dma_burst_cycles(sub.words, state->staging_words_per_cycle);
-        sub.run = [state, i, cycles] {
-          const auto& node = state->nodes[i];
-          if (auto* f = state->dev->fault_injector()) {
-            // The captured payload is replayed every launch, so a Corrupt
-            // rule must never bend it in place: apply the flip to a local
-            // copy and ship that.
-            const faults::SiteOutcome bend =
-                f->at(faults::FaultSite::CopyIn);
-            if (bend.corrupt && !node.op.data.empty()) {
-              std::vector<std::uint32_t> bent(node.op.data);
-              bent[bend.corrupt_word % bent.size()] ^= bend.corrupt_mask;
-              state->dev->write_words(node.op.base, bent);
-              return cycles;
-            }
-          }
-          state->dev->write_words(node.op.base, node.op.data);
-          return cycles;
-        };
-        break;
-      }
-      case StreamOp::Kind::CopyOut: {
-        sub.engine = EngineKind::Copy;
-        sub.words = state->nodes[i].op.count;
-        sub.channel = stream.channel() +
-                      std::min(state->nodes[i].lane, Stream::kChannelStride - 1);
-        const std::uint64_t cycles =
-            dma_burst_cycles(sub.words, state->staging_words_per_cycle);
-        sub.run = [state, i, cycles] {
-          const auto& node = state->nodes[i];
-          state->dev->read_words(node.op.base, {node.op.dst, node.op.count});
-          if (auto* f = state->dev->fault_injector()) {
-            // The host slot is rewritten on every replay, so in-place
-            // corruption here is safe and lands where a readback bit
-            // error would.
-            f->at(faults::FaultSite::CopyOut,
-                  std::span<std::uint32_t>(node.op.dst, node.op.count));
-          }
-          return cycles;
-        };
-        break;
-      }
-      case StreamOp::Kind::Launch: {
-        sub.engine = EngineKind::Exec;
-        const std::size_t p = plan_index++;
-        sub.run = [state, agg, p]() -> std::uint64_t {
-          const LaunchStats s = state->dev->execute_plan(state->plans[p]);
-          fold_stats(*agg, s);
-          // The launch occupies the compute array for its overlap-adjusted
-          // span, exactly like an eager stream launch.
-          return s.overlap_cycles;
-        };
-        break;
-      }
-      case StreamOp::Kind::Marker:
-        sub.engine = EngineKind::None;
-        break;
-    }
-    cmd.sub.push_back(std::move(sub));
-  }
-
-  // Finalize: publish the aggregated stats on the replay's event before
-  // the scheduler marks it complete.
-  Scheduler::Command fin;
-  fin.engine = EngineKind::None;
-  fin.run = [event_state, agg]() -> std::uint64_t {
-    event_state->stats = *agg;
-    return 0;
+  cmd.run = [state, event_state,
+             updates = std::move(updates)]() mutable -> std::uint64_t {
+    execute(*state, updates, event_state->stats);
+    return 0;  // priced per node, through the skeleton
   };
-  cmd.sub.push_back(std::move(fin));
 
   state_lock.unlock();
   if (inline_run) {
     stream.run_command(std::move(cmd));
   } else {
-    stream.submit_command(std::move(cmd));
+    stream.submit(std::move(cmd));
   }
   Event event;
   event.state_ = std::move(event_state);
   return event;
+}
+
+void GraphExec::execute(State& state, GraphUpdates& updates,
+                        LaunchStats& stats) {
+  Device& dev = *state.dev;
+  std::vector<std::uint64_t>& cycles = state.skeleton.cycles;
+  std::fill(cycles.begin(), cycles.end(), 0);
+  if (auto* f = dev.fault_injector()) {
+    // One Replay trigger per replay, before its updates apply and before
+    // any node runs: a thrown fault fails the whole replay and leaves the
+    // plans and captured payloads as they were.
+    f->at(faults::FaultSite::Replay);
+  }
+  if (!updates.empty()) {
+    std::lock_guard<std::mutex> lock(state.mutex);
+    for (const auto& [idx, args] : updates.args_) {
+      dev.rebind(state.plans[idx], args);
+    }
+    for (auto& [idx, data] : updates.copies_) {
+      const auto& seg = state.copy_in_segments[idx];
+      auto& payload = state.nodes[seg.node].op.data;
+      if (seg.offset == 0 && seg.words == payload.size()) {
+        // Safe to steal: the command runs once, then is destroyed.
+        payload = std::move(data);
+      } else {
+        // The transfer fused into a burst: splice into its segment.
+        std::copy(data.begin(), data.end(),
+                  payload.begin() + static_cast<std::ptrdiff_t>(seg.offset));
+      }
+    }
+  }
+  // Capture order is topological, so walking it satisfies every edge; a
+  // faulting node aborts the rest of the replay (the fault lands on the
+  // replay's event and stream error slot).
+  std::size_t plan_index = 0;
+  for (std::size_t i = 0; i < state.nodes.size(); ++i) {
+    const StreamOp& op = state.nodes[i].op;
+    switch (op.kind) {
+      case StreamOp::Kind::CopyIn:
+        cycles[i] = run_copy_in(dev, op);
+        break;
+      case StreamOp::Kind::CopyOut:
+        cycles[i] = run_copy_out(dev, op);
+        break;
+      case StreamOp::Kind::Launch: {
+        const LaunchStats s = dev.execute_plan(state.plans[plan_index++]);
+        fold_stats(stats, s);
+        // The launch occupies the compute array for its overlap-adjusted
+        // span, exactly like an eager stream launch.
+        cycles[i] = s.overlap_cycles;
+        break;
+      }
+      case StreamOp::Kind::Marker:
+        break;
+    }
+  }
 }
 
 }  // namespace simt::runtime

@@ -51,6 +51,7 @@
 #include "runtime/device.hpp"
 #include "runtime/event.hpp"
 #include "runtime/module.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace simt::runtime {
 
@@ -58,10 +59,11 @@ class Stream;
 class GraphExec;
 
 /// One stream command in built (not yet executed) form -- the shared
-/// currency of the eager path (converted into a scheduler command and
+/// currency of the eager path (wrapped in a scheduler command and
 /// submitted) and graph capture (recorded as a node). Stream builds ops
 /// once in Stream::submit_op; capture and eager execution are two sinks
-/// for the same structure.
+/// for the same structure, and both execute an op through the same body
+/// (run_copy_in, run_copy_out, Device::execute_plan).
 struct StreamOp {
   enum class Kind { CopyIn, CopyOut, Launch, Marker };
   Kind kind = Kind::Marker;
@@ -73,6 +75,18 @@ struct StreamOp {
   unsigned threads = 0;             ///< Launch grid size
   KernelArgs args{};                ///< Launch binding at capture time
 };
+
+/// The copy-in body the eager sink and graph replay both run: writes
+/// `op.data` at `op.base` and returns the burst's modeled DMA cycles. A
+/// fired Corrupt rule at the CopyIn site flips one bit of a copy of the
+/// payload, never `op.data` itself -- a captured payload replays every
+/// launch -- so the flipped bit lands on the device like a DMA bit error.
+std::uint64_t run_copy_in(Device& dev, const StreamOp& op);
+/// The copy-out body the eager sink and graph replay both run: reads
+/// `op.count` words at `op.base` into `op.dst`, then the CopyOut site may
+/// bend the host words, where a readback bit error would land (the slot
+/// is rewritten on every replay). Returns the burst's modeled DMA cycles.
+std::uint64_t run_copy_out(Device& dev, const StreamOp& op);
 
 /// One node of a captured DAG: the op, the capture lane (which captured
 /// stream recorded it), and the indices of the nodes it depends on (the
@@ -210,8 +224,8 @@ class GraphExec {
   /// the captured transfer.
   Event launch(Stream& stream, GraphUpdates updates = {});
 
-  /// Synchronous replay: the same composite command launch() builds, run
-  /// on the calling thread instead of the executor (Scheduler::run). It
+  /// Synchronous replay: the same command launch() builds, run on the
+  /// calling thread instead of the executor (Scheduler::run). It
   /// executes behind every command already enqueued on the device and
   /// returns the resolved Event. The modeled timeline prices it exactly
   /// like launch() -- same dependencies, engines, and dispatch cost --
@@ -223,8 +237,8 @@ class GraphExec {
 
  private:
   friend class Graph;
-  /// Validate `updates`, build the replay's composite command, and hand it
-  /// to `stream` -- enqueued (launch) or run on this thread (run).
+  /// Validate `updates`, wrap the replay in its one scheduler command, and
+  /// hand it to `stream` -- enqueued (launch) or run on this thread (run).
   Event replay(Stream& stream, GraphUpdates updates, bool inline_run);
   /// Where one captured copy-in landed after fusion: a segment of the
   /// payload of node `node` (a fused burst covers several segments).
@@ -235,22 +249,28 @@ class GraphExec {
   };
   struct State {
     Device* dev = nullptr;
-    std::vector<GraphNode> nodes;           ///< post-fusion DAG
-    std::vector<LaunchPlan> plans;          ///< one per launch node
-    std::vector<std::size_t> launch_nodes;  ///< node index per launch
+    std::vector<GraphNode> nodes;   ///< post-fusion DAG
+    std::vector<LaunchPlan> plans;  ///< one per launch node
+    /// The frozen pricing skeleton: one step per node.
+    ReplaySkeleton skeleton;
     /// One entry per CAPTURED copy-in, in capture order: where its payload
     /// lives after fusion (GraphUpdates::copy_in resolves through this).
     std::vector<CopySegment> copy_in_segments;
     std::size_t copy_in_nodes = 0;  ///< post-fusion copy-in (burst) count
-    double staging_words_per_cycle = 1.0;
     /// Guards the rebindable pieces (plans, copy-in payloads) between
     /// submitting threads (validation reads in launch()/run()) and the
-    /// replay executing (the apply sub-command's writes). A device executes
-    /// one command at a time -- on its executor or a run() caller -- so the
+    /// replay executing (its update writes). A device executes one
+    /// command at a time -- on its executor or a run() caller -- so the
     /// executing replay's own reads need no lock: they never overlap a
     /// write.
     mutable std::mutex mutex;
   };
+  /// The replay body, run by the executing thread: fire the Replay site,
+  /// apply `updates`, then execute every node in capture order through
+  /// the op bodies eager streams run, folding launch stats into `stats`
+  /// and each node's cycles into the skeleton.
+  static void execute(State& state, GraphUpdates& updates,
+                      LaunchStats& stats);
   std::shared_ptr<State> state_;
 };
 

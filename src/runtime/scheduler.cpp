@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 
-#include "runtime/device.hpp"
-
 namespace simt::runtime {
 
-Scheduler::Scheduler(Device& dev) : dev_(dev), fmax_mhz_(dev.fmax_mhz()) {
+Scheduler::Scheduler(double fmax_mhz) : fmax_mhz_(fmax_mhz) {
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -112,17 +110,18 @@ TimelineStats Scheduler::timeline() const {
   return t;
 }
 
-double Scheduler::price(const Command& cmd, double ready,
+double Scheduler::price(EngineKind engine, std::uint64_t words,
+                        unsigned channel, double ready,
                         std::uint64_t cycles) {
   const double dur_us = static_cast<double>(cycles) / fmax_mhz_;
   serial_us_ += dur_us;
   double finish = ready;
-  switch (cmd.engine) {
+  switch (engine) {
     case EngineKind::Copy: {
-      if (copy_free_us_.size() <= cmd.channel) {
-        copy_free_us_.resize(cmd.channel + 1, 0.0);
+      if (copy_free_us_.size() <= channel) {
+        copy_free_us_.resize(channel + 1, 0.0);
       }
-      double& channel_free = copy_free_us_[cmd.channel];
+      double& channel_free = copy_free_us_[channel];
       finish = std::max(channel_free, ready) + dur_us;
       channel_free = finish;
       break;
@@ -130,19 +129,16 @@ double Scheduler::price(const Command& cmd, double ready,
     case EngineKind::Exec:
       finish = std::max(exec_free_us_, ready) + dur_us;
       exec_free_us_ = finish;
+      exec_cycles_ += cycles;
       break;
     case EngineKind::None:
       break;
   }
-  copied_words_ += cmd.words;
-  if (cmd.engine == EngineKind::Exec) {
-    exec_cycles_ += cycles;
-  }
+  copied_words_ += words;
   return finish;
 }
 
-void Scheduler::account(const Node& node, std::uint64_t cycles,
-                        const std::vector<std::uint64_t>& sub_cycles) {
+void Scheduler::account(const Node& node, std::uint64_t cycles) {
   double ready = 0.0;
   for (const Ticket dep : node.deps) {
     const auto it = finish_us_.find(dep);
@@ -150,38 +146,40 @@ void Scheduler::account(const Node& node, std::uint64_t cycles,
       ready = std::max(ready, it->second);
     }
   }
+  const Command& cmd = node.cmd;
   double finish;
-  if (node.cmd.sub.empty()) {
-    finish = price(node.cmd, ready, cycles);
+  if (!cmd.replay) {
+    finish = price(cmd.engine, cmd.words, cmd.channel, ready, cycles);
   } else {
-    // Composite (graph replay): walk the frozen DAG. Each sub-command is
-    // ready once the composite's own dependencies AND its captured `after`
-    // edges have finished, so independent branches of a cross-stream
-    // capture overlap on the engines (a copy on one channel under another
-    // channel's copy or the compute array) while the host-side dispatch
-    // below is charged once for the whole replay. A single-lane capture
-    // degenerates to the chain its eager expansion would have priced.
+    // Graph replay: walk the frozen DAG. Each step is ready once the
+    // replay's own dependencies AND its captured `after` edges have
+    // finished, so independent branches of a cross-stream capture overlap
+    // on the engines (a copy on one channel under another channel's copy
+    // or the compute array) while the host-side dispatch below is charged
+    // once for the whole replay. A single-lane capture degenerates to the
+    // chain its eager expansion would have priced.
+    const ReplaySkeleton& skel = *cmd.replay;
     const double serial_before = serial_us_;
-    std::vector<double> sub_finish(node.cmd.sub.size(), ready);
+    std::vector<double> step_finish(skel.steps.size(), ready);
     finish = ready;
-    for (std::size_t i = 0; i < node.cmd.sub.size(); ++i) {
-      double sub_ready = ready;
-      for (const std::uint32_t dep : node.cmd.sub[i].after) {
-        if (dep < i) {  // instantiate() guarantees topological order
-          sub_ready = std::max(sub_ready, sub_finish[dep]);
-        }
+    for (std::size_t i = 0; i < skel.steps.size(); ++i) {
+      const ReplayStep& step = skel.steps[i];
+      double step_ready = ready;
+      for (const std::uint32_t dep : step.after) {
+        step_ready = std::max(step_ready, step_finish[dep]);
       }
-      sub_finish[i] = price(node.cmd.sub[i], sub_ready,
-                            i < sub_cycles.size() ? sub_cycles[i] : 0);
-      finish = std::max(finish, sub_finish[i]);
+      step_finish[i] = price(step.engine, step.words,
+                             cmd.channel + step.lane, step_ready,
+                             skel.cycles[i]);
+      finish = std::max(finish, step_finish[i]);
     }
     ++graph_replays_;
-    if (node.cmd.event) {
+    if (cmd.event) {
       // Publish the replay's own modeled span (both pricings) on its
       // event; the complete/failed store in execute() sequences these
       // writes before any reader.
-      node.cmd.event->replay_serial_us = serial_us_ - serial_before;
-      node.cmd.event->replay_overlap_us = finish - ready;
+      cmd.event->replay_serial_us = serial_us_ - serial_before;
+      cmd.event->replay_overlap_us = finish - ready;
     }
   }
   finish_us_[node.ticket] = finish;
@@ -191,7 +189,7 @@ void Scheduler::account(const Node& node, std::uint64_t cycles,
     finish_order_.pop_front();
   }
   overlap_us_ = std::max(overlap_us_, finish);
-  dispatch_us_ += HostCost::kSubmitUs + node.cmd.prep_us;
+  dispatch_us_ += HostCost::kSubmitUs + cmd.prep_us;
   ++commands_;
 }
 
@@ -219,25 +217,11 @@ void Scheduler::loop() {
 void Scheduler::execute(Node& node, std::unique_lock<std::mutex>& lock) {
   lock.unlock();
   std::uint64_t cycles = 0;
-  std::vector<std::uint64_t> sub_cycles;
   std::exception_ptr err;
   const auto t0 = std::chrono::steady_clock::now();
   try {
     if (node.cmd.run) {
       cycles = node.cmd.run();
-    }
-    // Composite command: execute the frozen sub-sequence in order. A
-    // faulting sub-command aborts the rest of the replay (the fault
-    // lands on the parent's event and stream error slot).
-    if (!node.cmd.sub.empty()) {
-      if (auto* f = dev_.fault_injector()) {
-        // One Replay trigger per composite replay dispatch; a thrown
-        // fault fails the whole replay before any sub executes.
-        f->at(faults::FaultSite::Replay);
-      }
-    }
-    for (auto& sub : node.cmd.sub) {
-      sub_cycles.push_back(sub.run ? sub.run() : 0);
     }
   } catch (...) {
     err = std::current_exception();
@@ -248,7 +232,7 @@ void Scheduler::execute(Node& node, std::unique_lock<std::mutex>& lock) {
           .count();
 
   lock.lock();
-  account(node, cycles, sub_cycles);
+  account(node, cycles);
   completed_.store(node.ticket, std::memory_order_release);
   if (node.cmd.event) {
     if (err) {

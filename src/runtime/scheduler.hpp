@@ -39,8 +39,6 @@
 
 namespace simt::runtime {
 
-class Device;
-
 /// Which modeled device engine a command occupies.
 enum class EngineKind { Copy, Exec, None };
 
@@ -84,7 +82,7 @@ struct TimelineStats {
   std::uint64_t copied_words = 0;
   std::uint64_t exec_cycles = 0;
   unsigned commands = 0;       ///< scheduler commands (a replay counts once)
-  unsigned graph_replays = 0;  ///< composite (graph-replay) commands
+  unsigned graph_replays = 0;  ///< graph-replay commands
 
   /// Modeled throughput gain of overlapping staging with execution.
   double overlap_speedup() const {
@@ -101,9 +99,34 @@ struct StreamErrorSlot {
   std::exception_ptr error;
 };
 
+/// One node of a graph replay's pricing skeleton, frozen at
+/// Graph::instantiate(): the engine the node occupies, its staging
+/// traffic, its capture lane and its DAG edges.
+struct ReplayStep {
+  EngineKind engine = EngineKind::None;
+  std::uint64_t words = 0;  ///< staging traffic (copies)
+  /// Copies: the modeled DMA channel as an offset from the replaying
+  /// command's `channel` (the capture lane, capped to the stream's
+  /// channel reservation).
+  unsigned lane = 0;
+  /// Indices of earlier steps this one waits for (the frozen DAG's edges).
+  std::vector<std::uint32_t> after;
+};
+
+/// A graph's frozen pricing skeleton plus the cycles its executing replay
+/// reports. One replay at a time writes `cycles`: a device executes one
+/// command at a time and prices it before the next one starts.
+struct ReplaySkeleton {
+  std::vector<ReplayStep> steps;
+  /// The executing replay's modeled duration of each step, in device
+  /// cycles: written by its body, read when the scheduler prices it. A
+  /// step the replay never reached (it faulted first) reads 0.
+  std::vector<std::uint64_t> cycles;
+};
+
 class Scheduler {
  public:
-  /// One schedulable command. `run` executes on the scheduler thread and
+  /// One schedulable command. `run` executes on the executing thread and
   /// returns the command's modeled duration in device cycles.
   struct Command {
     EngineKind engine = EngineKind::None;
@@ -123,24 +146,19 @@ class Scheduler {
     /// Modeled host preparation cost beyond the submission itself
     /// (HostCost); folded into TimelineStats::dispatch_us.
     double prep_us = 0.0;
-    /// Composite command (graph replay): a frozen sub-sequence executed in
-    /// (topological) order as ONE scheduler command. The parent carries the
-    /// event, the error slot, and the (once-only) dispatch cost; each
-    /// sub-command is priced on its own engine no earlier than its `after`
-    /// dependencies finish, so independent branches of a cross-stream
-    /// capture overlap on the modeled engines (DMA vs compute, channel vs
-    /// channel) while the host pays for a single submission. Sub-commands
-    /// must not carry events, error slots, or nested sub-sequences of
-    /// their own.
-    std::vector<Command> sub;
-    /// Timeline dependencies of this sub-command: indices of earlier
-    /// entries in the owning composite's `sub` list (the frozen DAG's
-    /// edges). Empty = ready when the composite's own dependencies are.
-    /// Meaningless on top-level commands.
-    std::vector<std::uint32_t> after;
+    /// Graph replay: the frozen DAG this command executes as ONE
+    /// scheduler command. It is priced step by step instead of on
+    /// `engine`: each step occupies its own engine (copies on `channel`
+    /// plus the step's lane) no earlier than its `after` steps finish, so
+    /// independent branches of a cross-stream capture overlap on the
+    /// modeled engines while the host pays for a single submission. Its
+    /// `run` stores each step's cycles in the skeleton; the value `run`
+    /// returns is unused.
+    std::shared_ptr<const ReplaySkeleton> replay;
   };
 
-  explicit Scheduler(Device& dev);
+  /// `fmax_mhz` is the device's realized clock, which prices the timeline.
+  explicit Scheduler(double fmax_mhz);
   ~Scheduler();  ///< drains the queue and joins the executor
 
   Scheduler(const Scheduler&) = delete;
@@ -202,14 +220,12 @@ class Scheduler {
   /// held; drops it while the command runs and returns with it held.
   void execute(Node& node, std::unique_lock<std::mutex>& lock);
   /// Fold an executed command into the modeled timeline (mutex held).
-  /// `sub_cycles` carries the per-sub-command durations of a composite.
-  void account(const Node& node, std::uint64_t cycles,
-               const std::vector<std::uint64_t>& sub_cycles);
-  /// Price one (sub-)command on its engine starting no earlier than
-  /// `ready`; returns its finish time (mutex held).
-  double price(const Command& cmd, double ready, std::uint64_t cycles);
+  void account(const Node& node, std::uint64_t cycles);
+  /// Price `cycles` of work on `engine` (copies on `channel`) starting no
+  /// earlier than `ready`; returns its finish time (mutex held).
+  double price(EngineKind engine, std::uint64_t words, unsigned channel,
+               double ready, std::uint64_t cycles);
 
-  Device& dev_;
   double fmax_mhz_;
   /// Handed to events as a weak_ptr; reset by the destructor so an Event
   /// that outlives the device can tell its scheduler is gone.

@@ -4,6 +4,31 @@
 
 namespace simt::runtime {
 
+std::uint64_t run_copy_in(Device& dev, const StreamOp& op) {
+  std::span<const std::uint32_t> data(op.data);
+  std::vector<std::uint32_t> bent;
+  if (auto* f = dev.fault_injector()) {
+    const faults::SiteOutcome bend = f->at(faults::FaultSite::CopyIn);
+    if (bend.corrupt && !data.empty()) {
+      bent = op.data;
+      bent[bend.corrupt_word % bent.size()] ^= bend.corrupt_mask;
+      data = bent;
+    }
+  }
+  dev.write_words(op.base, data);
+  return dma_burst_cycles(data.size(),
+                          dev.descriptor().staging_words_per_cycle);
+}
+
+std::uint64_t run_copy_out(Device& dev, const StreamOp& op) {
+  const std::span<std::uint32_t> dst(op.dst, op.count);
+  dev.read_words(op.base, dst);
+  if (auto* f = dev.fault_injector()) {
+    f->at(faults::FaultSite::CopyOut, dst);
+  }
+  return dma_burst_cycles(op.count, dev.descriptor().staging_words_per_cycle);
+}
+
 std::vector<Ticket> Stream::next_deps_locked(std::vector<Ticket> extra) const {
   if (capture_ != nullptr) {
     // Every internal path checks capture mode before building a command,
@@ -34,10 +59,6 @@ void Stream::prune_locked() const {
   while (!live_.empty() && live_.front() <= retired) {
     live_.pop_front();
   }
-}
-
-Ticket Stream::submit_command(Scheduler::Command cmd) {
-  return submit(std::move(cmd));
 }
 
 void Stream::run_command(Scheduler::Command cmd) {
@@ -88,47 +109,24 @@ Event Stream::submit_op(StreamOp op) {
   Scheduler::Command cmd;
   Event event;
   switch (op.kind) {
-    case StreamOp::Kind::CopyIn: {
+    case StreamOp::Kind::CopyIn:
       cmd.engine = EngineKind::Copy;
       cmd.words = op.data.size();
       cmd.channel = channel_;
       cmd.prep_us = HostCost::kCopyPrepUs;
-      const std::uint64_t cycles = dma_burst_cycles(
-          op.data.size(), dev_->descriptor().staging_words_per_cycle);
-      cmd.run = [dev = dev_, base = op.base, payload = std::move(op.data),
-                 cycles]() mutable {
-        if (auto* f = dev->fault_injector()) {
-          // Pre-write: a Corrupt rule bends the in-flight payload (this
-          // command's private snapshot), so the flipped bit lands on the
-          // device like a real DMA bit error.
-          f->at(faults::FaultSite::CopyIn,
-                std::span<std::uint32_t>(payload));
-        }
-        dev->write_words(base, payload);
-        return cycles;
+      cmd.run = [dev = dev_, op = std::move(op)] {
+        return run_copy_in(*dev, op);
       };
       break;
-    }
-    case StreamOp::Kind::CopyOut: {
+    case StreamOp::Kind::CopyOut:
       cmd.engine = EngineKind::Copy;
       cmd.words = op.count;
       cmd.channel = channel_;
       cmd.prep_us = HostCost::kCopyPrepUs;
-      const std::uint64_t cycles = dma_burst_cycles(
-          op.count, dev_->descriptor().staging_words_per_cycle);
-      cmd.run = [dev = dev_, base = op.base, dst = op.dst, count = op.count,
-                 cycles] {
-        dev->read_words(base, {dst, count});
-        if (auto* f = dev->fault_injector()) {
-          // Post-read: corruption lands in the host-side destination, as
-          // a bit error on the readback path would.
-          f->at(faults::FaultSite::CopyOut,
-                std::span<std::uint32_t>(dst, count));
-        }
-        return cycles;
+      cmd.run = [dev = dev_, op = std::move(op)] {
+        return run_copy_out(*dev, op);
       };
       break;
-    }
     case StreamOp::Kind::Launch: {
       cmd.engine = EngineKind::Exec;
       auto state = std::make_shared<EventState>();

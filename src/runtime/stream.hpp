@@ -169,7 +169,7 @@ class Stream {
   unsigned channel() const { return channel_; }
 
  private:
-  friend class GraphExec;  ///< replays submit through submit_command
+  friend class GraphExec;  ///< replays submit through submit/run_command
   friend class StreamTestPeer;  ///< white-box access for the graph tests
 
   /// The one sink every command goes through: capture mode records the op
@@ -178,9 +178,6 @@ class Stream {
   /// submits. Keeping both modes behind one builder is what guarantees a
   /// captured pipeline is the pipeline that would have executed.
   Event submit_op(StreamOp op);
-  /// Submit a prebuilt scheduler command (graph replays) with this
-  /// stream's ordering and error slot.
-  Ticket submit_command(Scheduler::Command cmd);
   /// Run a prebuilt scheduler command on the calling thread
   /// (Scheduler::run) with this stream's ordering and error slot: it
   /// executes behind everything already enqueued on the device, and later

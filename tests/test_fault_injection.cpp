@@ -7,6 +7,7 @@
 // overload policy waking a blocked submit on its deadline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <memory>
@@ -192,6 +193,54 @@ TEST(FaultSites, ReplaySiteFailsTheCompositeAndHeals) {
   }
 }
 
+TEST(FaultSites, ReplaySiteFiresBeforeTheReplaysUpdatesApply) {
+  // A replay that faults at the Replay site must not have rebound its
+  // plan or spliced its payload: the site fires before the updates apply.
+  rt::Device dev(with_faults(rt::DeviceDescriptor::simt_core(small_cfg()),
+                             "replay:transient:limit=1"));
+  const auto scale = dev.load_module(kernels::scale_abi()).kernel("scale");
+  auto in = dev.alloc<std::uint32_t>(8);
+  auto out = dev.alloc<std::uint32_t>(8);
+  const std::vector<std::uint32_t> payload{9, 8, 7, 6, 5, 4, 3, 2};
+  std::vector<std::uint32_t> result(8, 0);
+
+  rt::Graph graph;
+  dev.stream().begin_capture(graph);
+  dev.stream().copy_in(in, std::span<const std::uint32_t>(payload));
+  dev.stream().launch(scale, 8,
+                      rt::KernelArgs().arg(in).arg(out).scalar(2).scalar(1));
+  dev.stream().copy_out(out, std::span<std::uint32_t>(result));
+  dev.stream().end_capture();
+  auto exec = graph.instantiate();
+
+  // A clean replay first (disarmed: it consumes no trigger index).
+  dev.fault_injector()->disarm();
+  ASSERT_NO_THROW(exec.run(dev.stream()).wait());
+  const std::vector<std::uint32_t> clean = result;
+  const rt::LaunchPlan before = exec.plan(0);
+  dev.fault_injector()->arm();
+
+  rt::Event failed = exec.run(
+      dev.stream(),
+      rt::GraphUpdates()
+          .copy_in(0, {1, 1, 1, 1, 1, 1, 1, 1})
+          .args(0, rt::KernelArgs().arg(in).arg(out).scalar(5).scalar(4)));
+  EXPECT_THROW(failed.wait(), faults::TransientFault);
+  dev.stream().clear_error();
+  EXPECT_EQ(dev.fault_injector()->triggers(FaultSite::Replay), 1u);
+
+  const rt::LaunchPlan after = exec.plan(0);
+  EXPECT_EQ(after.sig, before.sig);
+  EXPECT_EQ(after.args.signature(), before.args.signature());
+
+  std::fill(result.begin(), result.end(), 0u);
+  ASSERT_NO_THROW(exec.run(dev.stream()).wait());
+  EXPECT_EQ(result, clean);
+  for (std::size_t i = 0; i < result.size(); ++i) {
+    EXPECT_EQ(clean[i], payload[i] * 2 + 1) << i;
+  }
+}
+
 /// The two multicore round paths: inline on the launching thread (the
 /// default for small rounds) and pooled on the dispatch workers.
 constexpr std::uint64_t kRoundPaths[] = {rt::MultiCoreBackend::kInlineRoundWork,
@@ -212,6 +261,52 @@ TEST(FaultSites, StagingSiteFiresOnMultiCoreAndIsSurvived) {
     EXPECT_EQ(dev.fault_injector()->triggers(FaultSite::Staging), 2u)
         << what;
     EXPECT_NO_THROW(dev.launch_sync(mod.kernel(), 64)) << what;
+  }
+}
+
+TEST(FaultSites, StagingFaultLandsOnTheSameCoreInPooledRounds) {
+  // Each dispatched core's Staging outcome is drawn on the launching
+  // thread in core order, so a trigger index lands on one core no matter
+  // which dispatch worker runs first. 4 cores x 64 threads, every round
+  // pooled; vecadd's @tid reads make each core stage only its own slice,
+  // so the output word the flipped bit corrupts names the core.
+  constexpr unsigned kCores = 4;
+  constexpr unsigned kPerCore = 64;
+  constexpr unsigned kN = kCores * kPerCore;
+  constexpr int kTrials = 200;
+  std::vector<std::uint32_t> av(kN), bv(kN);
+  for (unsigned i = 0; i < kN; ++i) {
+    av[i] = i + 1;
+    bv[i] = 1000 * (i + 1);
+  }
+  int first_core = -1;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    rt::Device dev(
+        with_faults(rt::DeviceDescriptor::multi_core(kCores, small_cfg()),
+                    "staging:corrupt:limit=1"));
+    dev.backend_as<rt::MultiCoreBackend>()->set_inline_round_work(0);
+    const auto vecadd = dev.load_module(kernels::vecadd_abi()).kernel("vecadd");
+    auto a = dev.alloc<std::uint32_t>(kN);
+    auto b = dev.alloc<std::uint32_t>(kN);
+    auto c = dev.alloc<std::uint32_t>(kN);
+    a.write(av);
+    b.write(bv);
+    dev.launch_sync(vecadd, kN, rt::KernelArgs().arg(a).arg(b).arg(c));
+    ASSERT_EQ(dev.fault_injector()->triggers(FaultSite::Staging), kCores);
+    const auto cv = c.read();
+    int bent_core = -1;
+    unsigned bent_words = 0;
+    for (unsigned i = 0; i < kN; ++i) {
+      if (cv[i] != av[i] + bv[i]) {
+        bent_core = static_cast<int>(i / kPerCore);
+        ++bent_words;
+      }
+    }
+    ASSERT_EQ(bent_words, 1u) << "trial " << trial;
+    if (first_core < 0) {
+      first_core = bent_core;
+    }
+    ASSERT_EQ(bent_core, first_core) << "trial " << trial;
   }
 }
 
@@ -326,6 +421,101 @@ TEST(FaultCorruption, DifferentialCatchesTheFlippedBit) {
         std::popcount(bent[i] ^ clean_core[i]));
   }
   EXPECT_EQ(flipped, 1u);
+}
+
+TEST(FaultCorruption, CopyInFlipsTheSameBitOnEagerAndReplayedCopies) {
+  // The eager sink and graph replay run one copy-in body: under
+  // copy_in:corrupt:limit=1 both put exactly one flipped bit on the
+  // device, at the same word and bit for the same seed and trigger, and a
+  // replay never bends its captured payload -- the next replay writes the
+  // pristine words. A copy-in that fused into a burst behaves the same.
+  constexpr unsigned kN = 16;
+  std::vector<std::uint32_t> payload(kN);
+  for (unsigned i = 0; i < kN; ++i) {
+    payload[i] = 0x5a5a0000u + i;
+  }
+  const std::span<const std::uint32_t> whole(payload);
+  const auto open = [] {
+    return std::make_unique<rt::Device>(
+        with_faults(rt::DeviceDescriptor::simt_core(small_cfg()),
+                    "copy_in:corrupt:limit=1"));
+  };
+  // XOR of device words [base, base + kN) against the payload.
+  const auto flips = [&](rt::Device& dev, std::uint32_t base) {
+    std::vector<std::uint32_t> got(kN);
+    dev.read_words(base, got);
+    for (unsigned i = 0; i < kN; ++i) {
+      got[i] ^= payload[i];
+    }
+    return got;
+  };
+  const auto bits = [](const std::vector<std::uint32_t>& x) {
+    unsigned n = 0;
+    for (const auto w : x) {
+      n += static_cast<unsigned>(std::popcount(w));
+    }
+    return n;
+  };
+
+  std::vector<std::uint32_t> eager;
+  {
+    auto dev = open();
+    auto buf = dev->alloc<std::uint32_t>(kN);
+    dev->stream().copy_in(buf, whole);
+    dev->stream().synchronize();
+    eager = flips(*dev, buf.word_base());
+  }
+  EXPECT_EQ(bits(eager), 1u);
+
+  {  // One captured copy-in, replayed.
+    auto dev = open();
+    auto buf = dev->alloc<std::uint32_t>(kN);
+    rt::Graph graph;
+    dev->stream().begin_capture(graph);
+    dev->stream().copy_in(buf, whole);
+    dev->stream().end_capture();
+    auto exec = graph.instantiate();
+    ASSERT_NO_THROW(exec.run(dev->stream()).wait());
+    EXPECT_EQ(flips(*dev, buf.word_base()), eager);
+    ASSERT_NO_THROW(exec.run(dev->stream()).wait());
+    EXPECT_EQ(bits(flips(*dev, buf.word_base())), 0u);
+  }
+
+  {  // Two contiguous copy-ins fused into one burst, between guard words.
+    auto dev = open();
+    auto lo_guard = dev->alloc<std::uint32_t>(4);
+    auto lo = dev->alloc<std::uint32_t>(kN / 2);
+    auto hi = dev->alloc<std::uint32_t>(kN / 2);
+    auto hi_guard = dev->alloc<std::uint32_t>(4);
+    const std::vector<std::uint32_t> guard{7, 7, 7, 7};
+    lo_guard.write(guard);
+    hi_guard.write(guard);
+    rt::Graph graph;
+    dev->stream().begin_capture(graph);
+    dev->stream().copy_in(lo, whole.first(kN / 2));
+    dev->stream().copy_in(hi, whole.last(kN / 2));
+    dev->stream().end_capture();
+    auto exec = graph.instantiate();
+    ASSERT_EQ(exec.copy_in_bursts(), 1u);
+    ASSERT_EQ(exec.copy_in_count(), 2u);
+    ASSERT_NO_THROW(exec.run(dev->stream()).wait());
+    const auto fused = flips(*dev, lo.word_base());
+    EXPECT_EQ(fused, eager);
+    // The bit lands inside the segment of the copy-in that covers its
+    // offset in the burst, and nowhere outside the burst.
+    unsigned word = 0;
+    while (word < kN && fused[word] == 0) {
+      ++word;
+    }
+    ASSERT_LT(word, kN);
+    const auto& owner = word < kN / 2 ? lo : hi;
+    const unsigned seg_word = word < kN / 2 ? word : word - kN / 2;
+    EXPECT_NE(owner.at(seg_word), payload[word]);
+    EXPECT_EQ(lo_guard.read(), guard);
+    EXPECT_EQ(hi_guard.read(), guard);
+    ASSERT_NO_THROW(exec.run(dev->stream()).wait());
+    EXPECT_EQ(bits(flips(*dev, lo.word_base())), 0u);
+  }
 }
 
 // ---- serving tier -----------------------------------------------------------

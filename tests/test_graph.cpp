@@ -1,5 +1,5 @@
 // Tests for execution graphs: stream capture, instantiate-time validation,
-// composite replay (one scheduler command per replay), per-replay argument
+// graph replay (one scheduler command per replay), per-replay argument
 // and payload rebinding, capture-mode error cases, and the buffer
 // use-after-reset hardening the graph refactor rides along with.
 #include <gtest/gtest.h>

@@ -496,7 +496,7 @@ int main(int argc, char** argv) {
       const double eager_us = dev.scheduler().timeline().dispatch_us;
 
       // Graph path: capture the launch once, instantiate, replay N times
-      // as single composite commands.
+      // as one scheduler command each.
       simt::runtime::Graph graph;
       stream.begin_capture(graph);
       stream.launch(kernel, threads, args);
