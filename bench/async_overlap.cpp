@@ -296,13 +296,13 @@ int main(int argc, char** argv) {
 
   // ---- measured wall clock: pooled vs inline rounds -----------------------
   //
-  // Staging-heavy launches: the host dirties a 28K-word input window every
-  // iteration, so each of the 4 cores restages that window each launch
-  // (~117K words of predicted work, above the inline threshold). Inline,
-  // the four copies and runs serialize on the launching thread; pooled,
-  // they run concurrently on the per-core dispatch workers. Same kernel,
-  // same modeled numbers -- only real seconds differ.
-  constexpr unsigned kStageWords = 28 * 1024;
+  // Staging-heavy launches: the host dirties a 384K-word input window
+  // every iteration, so each of the 4 cores restages that window each
+  // launch (~1.5M words of predicted work, above the inline threshold).
+  // Inline, the four copies and runs serialize on the launching thread;
+  // pooled, they run concurrently on the per-core dispatch workers. Same
+  // kernel, same modeled numbers -- only real seconds differ.
+  constexpr unsigned kStageWords = 384 * 1024;
   constexpr unsigned kStageThreads = 256;
   constexpr unsigned kStageLaunches = 24;
   constexpr unsigned kStageReps = 5;
@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
     static runtime::DeviceDescriptor desc() {
       core::CoreConfig cfg;
       cfg.max_threads = 64;
-      cfg.shared_mem_words = 32 * 1024;
+      cfg.shared_mem_words = 512 * 1024;
       return runtime::DeviceDescriptor::multi_core(4, cfg);
     }
     explicit StagedRig(std::uint64_t inline_round_work)

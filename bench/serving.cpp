@@ -8,8 +8,8 @@
 //
 //   1. Closed-loop saturation: submit a burst, drain, report QPS per
 //      cluster size. GATE: 4 devices sustain >= 1.5x the 1-device QPS
-//      (per-device scheduler executors + cluster workers are real host
-//      threads, so the speedup is genuine parallel simulation).
+//      (each device's cluster worker is a real host thread that runs its
+//      replays itself, so the speedup is genuine parallel simulation).
 //   2. Open-loop latency: Poisson-ish arrivals (seeded xoshiro256**
 //      exponential gaps) at fractions of the saturation rate, reporting
 //      achieved QPS and p50/p95/p99 request latency per offered load.

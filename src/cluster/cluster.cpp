@@ -1095,7 +1095,7 @@ void DeviceCluster::issue(std::size_t device, PlanEntry& entry, Request req) {
   }
 
   // The replay runs right here, on the worker, behind anything else queued
-  // on the device: no executor handoff on the request path.
+  // on the device: no thread handoff on the request path.
   rt::Event event;
   std::string fault;
   bool transient = false;

@@ -476,10 +476,13 @@ bool Gpgpu::exec_load_batched(const Instr& instr, unsigned active,
   if (oob) {
     return false;
   }
-  // Gather from the committed image (all replicated copies agree, so the
-  // port a lane would arbitrate onto does not matter). The scratch holds
-  // the addresses, so rd == ra aliasing is already resolved.
+  // Gather from the committed image (the replicated copies would all
+  // agree, so the port a lane would arbitrate onto does not matter). The
+  // scratch holds the addresses, so rd == ra aliasing is already resolved.
+  // Unrolled because the one-lane gather loop's speed follows its code
+  // alignment (ROADMAP item 1: drop this once bench builds pin alignment).
   std::uint32_t* dst = rf_row(instr.rd);
+#pragma GCC unroll 4
   for (unsigned t = 0; t < active; ++t) {
     dst[t] = shared_.read_lane(addrs[t]);
   }
@@ -552,7 +555,7 @@ bool Gpgpu::exec_store_batched(const Instr& instr, unsigned active,
   if (oob) {
     return false;
   }
-  // Scatter in thread order straight into every replicated copy: identical
+  // Scatter in thread order straight into the committed image: identical
   // to stage-all-then-commit (highest lane wins on address conflicts, and
   // stores never read shared memory within the instruction). note_store
   // runs per lane exactly as in the scalar body, so the merged-window

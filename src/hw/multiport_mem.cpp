@@ -1,39 +1,40 @@
 #include "hw/multiport_mem.hpp"
 
+#include <algorithm>
+
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "hw/m20k.hpp"
 
 namespace simt::hw {
 
 MultiPortMemory::MultiPortMemory(unsigned words, unsigned read_ports,
                                  unsigned write_ports)
-    : words_(words), read_ports_(read_ports), write_ports_(write_ports) {
+    : words_(words),
+      read_ports_(read_ports),
+      write_ports_(write_ports),
+      data_(words, 0) {
   SIMT_CHECK(words_ > 0);
   SIMT_CHECK(read_ports_ >= 1);
   SIMT_CHECK(write_ports_ >= 1);
-  copies_.reserve(read_ports_);
-  for (unsigned i = 0; i < read_ports_; ++i) {
-    copies_.emplace_back(words_, 32);
-  }
 }
 
 std::uint32_t MultiPortMemory::read(unsigned port, std::uint32_t addr) const {
   SIMT_CHECK(port < read_ports_);
   SIMT_CHECK(addr < words_);
-  return static_cast<std::uint32_t>(copies_[port].read(addr));
+  return data_[addr];
 }
 
 void MultiPortMemory::write(std::uint32_t addr, std::uint32_t data) {
   SIMT_CHECK(addr < words_);
-  for (auto& copy : copies_) {
-    copy.write(addr, data);
-  }
+  staged_.emplace_back(addr, data);
 }
 
 void MultiPortMemory::commit() {
-  for (auto& copy : copies_) {
-    copy.commit();
+  for (const auto& [addr, value] : staged_) {
+    data_[addr] = value;
   }
+  staged_.clear();
 }
 
 std::uint32_t MultiPortMemory::peek(std::uint32_t addr) const {
@@ -48,15 +49,13 @@ void MultiPortMemory::poke(std::uint32_t addr, std::uint32_t data) {
 void MultiPortMemory::peek_span(std::uint32_t base,
                                 std::span<std::uint32_t> out) const {
   SIMT_CHECK(base <= words_ && out.size() <= words_ - base);
-  copies_[0].peek_words32(base, out);
+  std::copy_n(data_.begin() + base, out.size(), out.begin());
 }
 
 void MultiPortMemory::poke_span(std::uint32_t base,
                                 std::span<const std::uint32_t> data) {
   SIMT_CHECK(base <= words_ && data.size() <= words_ - base);
-  for (auto& copy : copies_) {
-    copy.poke_words32(base, data);
-  }
+  std::copy(data.begin(), data.end(), data_.begin() + base);
 }
 
 unsigned MultiPortMemory::m20k_blocks() const {

@@ -5,7 +5,9 @@
 // (each a physical copy of the data, kept coherent by writing all copies)
 // and one write port. The bandwidth is lower than a banked design but the
 // arbitration is trivial -- a 16:4 read address mux and a 16:1 write mux in
-// front of the SPs (Fig. 1) -- saving logic, routing, and latency.
+// front of the SPs (Fig. 1) -- saving logic, routing, and latency. The
+// copies never differ, so the model stores the words once; the replication
+// shows only where it costs: the M20K count and the port clock arithmetic.
 //
 // Consequences modeled here and in core/pipeline_control:
 //   * a load for 16 lanes takes 16/4 = 4 clocks per thread-block row;
@@ -15,9 +17,8 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
-
-#include "hw/m20k.hpp"
 
 namespace simt::hw {
 
@@ -29,13 +30,15 @@ class MultiPortMemory {
                   unsigned write_ports = 1);
 
   /// Read through one of the replicated ports. All ports return the same
-  /// data; the port index models arbitration and is bounds-checked.
+  /// committed data (read-old-data before commit()); the port index models
+  /// arbitration and is bounds-checked.
   std::uint32_t read(unsigned port, std::uint32_t addr) const;
 
   /// Stage a write (single write port). Committed at commit().
   void write(std::uint32_t addr, std::uint32_t data);
 
-  /// Clock edge: apply staged writes to every copy.
+  /// Clock edge: apply the staged writes in order (the last one to an
+  /// address wins).
   void commit();
 
   /// Host-side backdoor accessors (no port arbitration; used by the runtime
@@ -43,24 +46,20 @@ class MultiPortMemory {
   std::uint32_t peek(std::uint32_t addr) const;
   void poke(std::uint32_t addr, std::uint32_t data);
 
-  /// Bulk backdoor transfers: one bounds check and direct copies into every
-  /// replicated M20K array, bypassing the per-word write staging. This is
-  /// the host-staging fast path the runtime Buffer copies ride on.
+  /// Bulk backdoor transfers: one bounds check and a direct copy, bypassing
+  /// the per-word write staging. This is the host-staging fast path the
+  /// runtime Buffer copies ride on.
   void peek_span(std::uint32_t base, std::span<std::uint32_t> out) const;
   void poke_span(std::uint32_t base, std::span<const std::uint32_t> data);
 
   /// Per-lane gather/scatter fast path for the batched SIMD engine: the
-  /// caller bounds-checks the whole address block up front, then reads the
-  /// committed image / writes every replicated copy directly (no staging;
-  /// a sequential thread-order scatter keeps the highest-lane-wins
-  /// conflict semantics of the staged write port).
-  std::uint32_t read_lane(std::uint32_t addr) const {
-    return static_cast<std::uint32_t>(copies_[0].peek_raw(addr));
-  }
+  /// caller bounds-checks the whole address block up front, then reads /
+  /// writes the committed image directly (no staging; a sequential
+  /// thread-order scatter keeps the highest-lane-wins conflict semantics
+  /// of the staged write port).
+  std::uint32_t read_lane(std::uint32_t addr) const { return data_[addr]; }
   void write_lane(std::uint32_t addr, std::uint32_t data) {
-    for (auto& copy : copies_) {
-      copy.poke_raw(addr, data);
-    }
+    data_[addr] = data;
   }
 
   unsigned words() const { return words_; }
@@ -80,7 +79,9 @@ class MultiPortMemory {
   unsigned words_;
   unsigned read_ports_;
   unsigned write_ports_;
-  std::vector<M20kArray> copies_;  ///< one per read port
+  std::vector<std::uint32_t> data_;  ///< the committed words
+  /// Writes staged since the last commit(), oldest first.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> staged_;
 };
 
 }  // namespace simt::hw

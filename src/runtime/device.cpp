@@ -250,7 +250,8 @@ LaunchStats MultiCoreBackend::launch(std::uint32_t entry, unsigned threads,
     // shard maps, staged-word counts and modeled RoundCosts were settled
     // above, so the modeled timeline is the same on either path.
     const bool inline_round =
-        round_words + std::uint64_t{round_total} * image_len <
+        round_words + kWordsPerThreadInstruction *
+                          std::uint64_t{round_total} * image_len <
         inline_round_work_;
     // Each dispatched core's Staging outcome is drawn here, in core
     // order, before the round runs: which core a trigger index lands on

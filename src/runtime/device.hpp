@@ -269,15 +269,18 @@ class MultiCoreBackend final : public DeviceBackend {
   system::MultiCoreSystem& system() { return sys_; }
 
   /// Rounds whose predicted host work -- the words the round stages plus
-  /// its threads times the decoded image length -- is below this run
-  /// inline: every core stages and executes on the launching thread, core
-  /// after core. Larger rounds post one stage-then-run job per core to the
-  /// dispatch workers. Measured on a 4-vCPU host (4 cores, Release): a
-  /// pooled round pays ~15 us of hand-offs and lost to the inline round at
-  /// every size measured below 64K (1.1-5.9x slower); above it the two
-  /// converge (1.04-1.2x at 84K-211K), so staging-heavy rounds keep the
-  /// pool and whatever real parallelism the host has.
-  static constexpr std::uint64_t kInlineRoundWork = 64 * 1024;
+  /// kWordsPerThreadInstruction times its threads times the decoded image
+  /// length -- is below this run inline: every core stages and executes
+  /// on the launching thread, core after core. Larger rounds post one
+  /// stage-then-run job per core to the dispatch workers. Measured on a
+  /// 4-vCPU host (4 cores, Release), a pooled round pays 15-35 us of
+  /// hand-offs. Staging a word is a plain copy, so staging-only rounds
+  /// broke even near 1M words (0.87-0.95x at 390K-660K, 1.46x at 1.5M);
+  /// straight-line compute rounds broke even near 256K thread-instructions
+  /// (0.92x at 100K, 1.33x at 430K). One thread-instruction therefore
+  /// counts as four staged words.
+  static constexpr std::uint64_t kInlineRoundWork = 1024 * 1024;
+  static constexpr std::uint64_t kWordsPerThreadInstruction = 4;
   /// Override the inline threshold on this backend: 0 pools every round,
   /// ~0 inlines every round. Lets tests and benches pin either path over
   /// the same launch sequence; results are identical either way.
@@ -504,7 +507,7 @@ class Device {
   /// body launch_sync runs after preparing.
   LaunchStats execute_plan(const LaunchPlan& plan);
 
-  /// The asynchronous command scheduler every stream feeds.
+  /// The command scheduler every stream feeds.
   Scheduler& scheduler() { return *scheduler_; }
 
   /// The device's default command stream (created lazily).
@@ -551,11 +554,12 @@ class Device {
   /// relaunching the same kernel with the same arguments skips both the
   /// loader patch and the I-MEM reload.
   std::uint64_t resident_sig_ = 0;
-  /// Serializes backend access between the scheduler's executor thread and
-  /// direct host calls (read/write_words, launch_sync).
+  /// Serializes backend access between whichever thread is running a
+  /// scheduler command and direct host calls (read/write_words,
+  /// launch_sync).
   mutable std::mutex exec_mutex_;
-  // Declared after the backend so destruction drains and joins the
-  // scheduler before the engine it drives disappears.
+  // Declared after the backend so destruction runs the scheduler's
+  // leftover commands before the engine they drive disappears.
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<std::unique_ptr<Stream>> streams_;  ///< [0] = default stream
 };

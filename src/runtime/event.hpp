@@ -4,6 +4,8 @@
 // was returned from. done() is a non-blocking poll, wait() joins just this
 // event, and stats()/wall_us()/elapsed_us() throw simt::Error while the
 // launch is still in flight -- an incomplete event never reads as zeros.
+// Both the polls and wait() run the launch on the calling thread when it
+// is next in line (see Scheduler::poll and Scheduler::wait).
 #pragma once
 
 #include <atomic>
@@ -54,10 +56,10 @@ struct EventState {
   Ticket ticket = 0;
   Scheduler* scheduler = nullptr;
   /// Liveness token for `scheduler`: expired once the device (and its
-  /// scheduler) is destroyed, so wait() on an outliving Event degrades to
-  /// a completion check instead of dereferencing a dangling pointer. (The
-  /// scheduler drains its queue on destruction, so the event has resolved
-  /// by then.)
+  /// scheduler) is destroyed, so a poll or wait() on an outliving Event
+  /// degrades to a completion check instead of dereferencing a dangling
+  /// pointer. (The scheduler drains its queue on destruction, so the event
+  /// has resolved by then.)
   std::weak_ptr<void> scheduler_alive;
 };
 
@@ -65,14 +67,25 @@ class Event {
  public:
   Event() = default;
 
-  /// Non-blocking completion poll.
+  /// Non-blocking completion poll: first runs the ready queued commands up
+  /// to this launch on the calling thread (Scheduler::poll). Those run to
+  /// completion here, injected `launch:stall` delays included, so a poll
+  /// can take as long as the commands it runs; it only skips them when the
+  /// device is paused or another thread is mid-command. Like wait(), and
+  /// like every accessor below that polls (failed(), resolved(),
+  /// rethrow_if_failed(), stats() and the timing getters), it must not
+  /// race the device's destruction: the liveness token detects a device
+  /// that is already gone, not one being destroyed.
   bool done() const {
+    poll();
     return state_ && state_->complete.load(std::memory_order_acquire);
   }
 
-  /// Did the launch fault? (Non-blocking; implies the event will never
-  /// complete.)
+  /// Did the launch fault? (Non-blocking, polling like done() -- it may
+  /// run queued commands and must not race ~Device; a fault implies the
+  /// event will never complete.)
   bool failed() const {
+    poll();
     return state_ && state_->failed.load(std::memory_order_acquire);
   }
 
@@ -154,6 +167,9 @@ class Event {
   friend class Scheduler;
   friend class Stream;
   friend class GraphExec;
+  /// Scheduler::poll up to this event's ticket, unless it has resolved
+  /// already, was captured, or its device is gone.
+  void poll() const;
   std::shared_ptr<EventState> state_;
 };
 

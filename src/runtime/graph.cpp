@@ -232,16 +232,13 @@ LaunchPlan GraphExec::plan(std::size_t launch_index) const {
   return state_->plans[launch_index];
 }
 
-Event GraphExec::launch(Stream& stream, GraphUpdates updates) {
-  return replay(stream, std::move(updates), /*inline_run=*/false);
-}
-
 Event GraphExec::run(Stream& stream, GraphUpdates updates) {
-  return replay(stream, std::move(updates), /*inline_run=*/true);
+  Event event = launch(stream, std::move(updates));
+  stream.device().scheduler().wait(event.state_->ticket);
+  return event;
 }
 
-Event GraphExec::replay(Stream& stream, GraphUpdates updates,
-                        bool inline_run) {
+Event GraphExec::launch(Stream& stream, GraphUpdates updates) {
   if (!state_) {
     throw Error("launch of an empty GraphExec; instantiate a graph first");
   }
@@ -305,11 +302,7 @@ Event GraphExec::replay(Stream& stream, GraphUpdates updates,
   };
 
   state_lock.unlock();
-  if (inline_run) {
-    stream.run_command(std::move(cmd));
-  } else {
-    stream.submit(std::move(cmd));
-  }
+  stream.submit(std::move(cmd));
   Event event;
   event.state_ = std::move(event_state);
   return event;

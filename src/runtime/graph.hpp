@@ -209,12 +209,12 @@ class GraphExec {
 
   /// The frozen plan of the `launch_index`-th captured launch (current
   /// binding, signature, footprint) -- introspection for tests and tools.
-  /// Returns a snapshot: a concurrent replay may be rebinding the live
-  /// plan on the executor thread.
+  /// Returns a snapshot: a replay running on another thread may be
+  /// rebinding the live plan.
   LaunchPlan plan(std::size_t launch_index) const;
 
   /// Replay the captured DAG on `stream` as ONE scheduler command,
-  /// applying `updates` first (executor-side, ordered after earlier
+  /// applying `updates` first (when the replay runs, ordered after earlier
   /// replays). The returned Event resolves when the whole replay has
   /// executed; its stats() aggregate the replayed launches, and its
   /// replay_serial_us()/replay_overlap_us() report the replay's modeled
@@ -224,22 +224,16 @@ class GraphExec {
   /// the captured transfer.
   Event launch(Stream& stream, GraphUpdates updates = {});
 
-  /// Synchronous replay: the same command launch() builds, run on the
-  /// calling thread instead of the executor (Scheduler::run). It
-  /// executes behind every command already enqueued on the device and
-  /// returns the resolved Event. The modeled timeline prices it exactly
-  /// like launch() -- same dependencies, engines, and dispatch cost --
-  /// and the Replay/Launch fault sites fire the same way: a fault lands on
-  /// the returned Event (wait()/stats() rethrow it) and on the stream's
-  /// sticky error slot, never as a throw from run() itself. Validation
-  /// failures throw exactly as launch()'s do.
+  /// Synchronous replay: launch() followed by a scheduler wait on its
+  /// ticket, so the calling thread runs the replay (and every command
+  /// queued ahead of it) and returns the resolved Event. A fault lands
+  /// on the returned Event (wait()/stats() rethrow it) and on the
+  /// stream's sticky error slot, never as a throw from run() itself.
+  /// Validation failures throw exactly as launch()'s do.
   Event run(Stream& stream, GraphUpdates updates = {});
 
  private:
   friend class Graph;
-  /// Validate `updates`, wrap the replay in its one scheduler command, and
-  /// hand it to `stream` -- enqueued (launch) or run on this thread (run).
-  Event replay(Stream& stream, GraphUpdates updates, bool inline_run);
   /// Where one captured copy-in landed after fusion: a segment of the
   /// payload of node `node` (a fused burst covers several segments).
   struct CopySegment {
@@ -258,11 +252,10 @@ class GraphExec {
     std::vector<CopySegment> copy_in_segments;
     std::size_t copy_in_nodes = 0;  ///< post-fusion copy-in (burst) count
     /// Guards the rebindable pieces (plans, copy-in payloads) between
-    /// submitting threads (validation reads in launch()/run()) and the
-    /// replay executing (its update writes). A device executes one
-    /// command at a time -- on its executor or a run() caller -- so the
-    /// executing replay's own reads need no lock: they never overlap a
-    /// write.
+    /// submitting threads (validation reads in launch()) and the replay
+    /// executing (its update writes). A device executes one command at a
+    /// time, whichever thread runs it, so the executing replay's own
+    /// reads need no lock: they never overlap a write.
     mutable std::mutex mutex;
   };
   /// The replay body, run by the executing thread: fire the Replay site,

@@ -5,17 +5,16 @@
 
 namespace simt::runtime {
 
-Scheduler::Scheduler(double fmax_mhz) : fmax_mhz_(fmax_mhz) {
-  thread_ = std::thread([this] { loop(); });
-}
+Scheduler::Scheduler(double fmax_mhz) : fmax_mhz_(fmax_mhz) {}
 
 Scheduler::~Scheduler() {
+  Ticket last;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
+    paused_ = false;  // a pause does not outlive the device: drain
+    last = next_ticket_ - 1;
   }
-  work_cv_.notify_all();
-  thread_.join();  // drains the queue: every event has resolved by now
+  wait(last);  // every event has resolved by now
   liveness_.reset();
 }
 
@@ -23,63 +22,37 @@ Ticket Scheduler::submit(Command cmd, std::vector<Ticket> deps) {
   Node node;
   node.cmd = std::move(cmd);
   node.deps = std::move(deps);
-  Ticket ticket;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ticket = next_ticket_++;
-    node.ticket = ticket;
-    if (node.cmd.event) {
-      node.cmd.event->ticket = ticket;
-      node.cmd.event->scheduler = this;
-      node.cmd.event->scheduler_alive = liveness_;
-    }
-    queue_.push_back(std::move(node));
-  }
-  work_cv_.notify_all();
-  return ticket;
-}
-
-void Scheduler::run(Command cmd, std::vector<Ticket> deps,
-                    const std::function<void(Ticket)>& reserved) {
-  Node node;
-  node.cmd = std::move(cmd);
-  node.deps = std::move(deps);
-  std::unique_lock<std::mutex> lock(mutex_);
-  const Ticket t = next_ticket_++;
-  node.ticket = t;
+  std::lock_guard<std::mutex> lock(mutex_);
+  node.ticket = next_ticket_++;
   if (node.cmd.event) {
-    node.cmd.event->ticket = t;
+    node.cmd.event->ticket = node.ticket;
     node.cmd.event->scheduler = this;
     node.cmd.event->scheduler_alive = liveness_;
   }
-  reserved(t);
-  done_cv_.wait(lock, [this, t] {
-    return !paused_ && completed_.load(std::memory_order_relaxed) + 1 == t;
-  });
-  execute(node, lock);
-  if (front_ready()) {
-    work_cv_.notify_all();  // hand the executor what queued behind us
-  }
+  queue_.push_back(std::move(node));
+  return queue_.back().ticket;
 }
 
-void Scheduler::wait(Ticket t) {
+void Scheduler::wait(Ticket t) { advance(t, /*block=*/true); }
+
+void Scheduler::poll(Ticket t) { advance(t, /*block=*/false); }
+
+void Scheduler::advance(Ticket t, bool block) {
+  if (retired() >= t) {
+    return;
+  }
   std::unique_lock<std::mutex> lock(mutex_);
-  // A waiter that would only sleep until the executor wakes runs the
-  // commands it waits for itself: the same pop + execute() the executor
-  // loop does, so ticket order, pricing, fault sites, a pause and
-  // completion publication are unchanged. Commands behind `t` stay queued
-  // for the executor.
+  // Commands behind `t` stay queued for whoever needs them next.
   while (completed_.load(std::memory_order_relaxed) < t) {
-    if (front_ready() && queue_.front().ticket <= t) {
+    if (front_ready()) {
       Node node = std::move(queue_.front());
       queue_.pop_front();
       execute(node, lock);
+    } else if (block) {
+      done_cv_.wait(lock);  // paused, or another thread is mid-command
     } else {
-      done_cv_.wait(lock);
+      return;
     }
-  }
-  if (front_ready()) {
-    work_cv_.notify_all();  // hand the executor what queued behind us
   }
 }
 
@@ -93,8 +66,7 @@ void Scheduler::resume() {
     std::lock_guard<std::mutex> lock(mutex_);
     paused_ = false;
   }
-  work_cv_.notify_all();
-  done_cv_.notify_all();  // run() callers held by the pause
+  done_cv_.notify_all();  // waiters held by the pause
 }
 
 TimelineStats Scheduler::timeline() const {
@@ -194,24 +166,9 @@ void Scheduler::account(const Node& node, std::uint64_t cycles) {
 }
 
 bool Scheduler::front_ready() const {
-  return !queue_.empty() && (!paused_ || stopping_) &&
+  return !queue_.empty() && !paused_ &&
          queue_.front().ticket ==
              completed_.load(std::memory_order_relaxed) + 1;
-}
-
-void Scheduler::loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    work_cv_.wait(lock, [this] {
-      return (stopping_ && queue_.empty()) || front_ready();
-    });
-    if (queue_.empty()) {
-      return;  // stopping with a drained queue
-    }
-    Node node = std::move(queue_.front());
-    queue_.pop_front();
-    execute(node, lock);
-  }
 }
 
 void Scheduler::execute(Node& node, std::unique_lock<std::mutex>& lock) {
@@ -250,6 +207,17 @@ void Scheduler::execute(Node& node, std::unique_lock<std::mutex>& lock) {
     }
   }
   done_cv_.notify_all();
+}
+
+void Event::poll() const {
+  if (!state_ || state_->scheduler == nullptr ||
+      state_->complete.load(std::memory_order_acquire) ||
+      state_->failed.load(std::memory_order_acquire)) {
+    return;
+  }
+  if (auto alive = state_->scheduler_alive.lock()) {
+    state_->scheduler->poll(state_->ticket);
+  }
 }
 
 void Event::wait() const {

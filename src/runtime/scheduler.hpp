@@ -1,19 +1,20 @@
-// The device-owned asynchronous scheduler.
+// The device-owned command scheduler.
 //
 // Streams do not execute anything themselves: every copy/launch command is
-// submitted here and runs on the scheduler's executor thread, so host code
-// keeps going while the device simulates. Stream::synchronize() is a join.
-// A caller that would only wait for the result anyway (a serving worker
-// replaying a graph) can instead run a command on its own thread through
-// run(): same ticket order, same pricing, same fault sites and completion
-// publication, minus the handoff to the executor and back. A thread
-// blocked in wait() does the same for commands already queued: it executes
-// the ready front itself up to the ticket it waits for.
+// submitted here, and submission only queues it -- it never blocks and
+// never runs the command. Queued commands run on the host thread that
+// needs their result: a thread blocked in wait() (Event::wait,
+// Stream::synchronize, GraphExec::run) executes the ready front itself up
+// to the ticket it waits for, and a poll (Event::done/failed/resolved,
+// Stream::pending) does the same without ever blocking -- it returns at
+// once when the scheduler is paused or another thread is mid-command.
+// Commands queued past the last ticket anybody waited for stay queued
+// until a later wait, poll or the scheduler's destruction runs them.
 // Commands carry dependency tickets (same-stream ordering, cross-stream
-// Event waits); the in-process executor runs commands in submission order,
-// which trivially satisfies those dependencies and keeps multi-stream
-// execution deterministic -- on real hardware the dependencies are what
-// the DMA descriptors would encode.
+// Event waits); commands run one at a time in submission order, which
+// trivially satisfies those dependencies and keeps multi-stream
+// execution deterministic whichever thread runs them -- on real hardware
+// the dependencies are what the DMA descriptors would encode.
 //
 // Alongside functional execution the scheduler keeps a modeled timeline:
 // each command occupies a device engine (the staging DMA for copies, the
@@ -31,7 +32,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -90,10 +90,11 @@ struct TimelineStats {
   }
 };
 
-/// A stream's sticky-error slot, shared between the stream and the
-/// executor thread. It carries its own mutex so the executor's store and
-/// the stream's consume (Stream::synchronize) stay race-free even while
-/// other host threads keep submitting past the joined ticket.
+/// A stream's sticky-error slot, shared between the stream and whichever
+/// thread runs its commands. It carries its own mutex so a faulting
+/// command's store and the stream's consume (Stream::synchronize) stay
+/// race-free even while other host threads keep submitting past the
+/// joined ticket.
 struct StreamErrorSlot {
   std::mutex mutex;
   std::exception_ptr error;
@@ -126,8 +127,8 @@ struct ReplaySkeleton {
 
 class Scheduler {
  public:
-  /// One schedulable command. `run` executes on the executing thread and
-  /// returns the command's modeled duration in device cycles.
+  /// One schedulable command. `run` executes on whichever thread runs the
+  /// command and returns its modeled duration in device cycles.
   struct Command {
     EngineKind engine = EngineKind::None;
     std::function<std::uint64_t()> run;
@@ -159,41 +160,39 @@ class Scheduler {
 
   /// `fmax_mhz` is the device's realized clock, which prices the timeline.
   explicit Scheduler(double fmax_mhz);
-  ~Scheduler();  ///< drains the queue and joins the executor
+  /// Runs whatever is still queued on the destroying thread, paused or
+  /// not: every event has resolved once the scheduler is gone.
+  ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   /// Enqueue a command after `deps` (earlier tickets). Returns its ticket.
+  /// Only queues: the command runs when some thread waits or polls for a
+  /// ticket at or past it.
   Ticket submit(Command cmd, std::vector<Ticket> deps = {});
 
-  /// Execute `cmd` on the calling thread as the next ticket: commands
-  /// submitted afterwards order behind it, and it runs once every earlier
-  /// ticket has executed (queued or running commands first; a paused
-  /// scheduler holds it too). Pricing, fault sites, and event / error-slot
-  /// publication are exactly the executor's; returns once the command's
-  /// completion is published. `reserved` is called with the new ticket
-  /// under the scheduler lock, before the wait (a stream records its
-  /// ordering there); it must not throw. Taking the ticket and running it
-  /// are one call, so no ticket can be left unrun to stall the executor.
-  void run(Command cmd, std::vector<Ticket> deps,
-           const std::function<void(Ticket)>& reserved);
-
   /// Block until ticket `t` has executed (t == 0 returns immediately).
-  /// While a queued command at or before `t` is next in ticket order (and
-  /// the scheduler is not paused) the caller executes it, exactly as the
-  /// executor would, instead of sleeping until the executor wakes.
-  /// Errors are reported through the command's stream error slot and
-  /// event, not here -- see Stream::synchronize() and Event::wait().
+  /// The caller executes every queued command up to `t` itself, in ticket
+  /// order; it sleeps only while the scheduler is paused or another
+  /// thread is mid-command. Errors are reported through the command's
+  /// stream error slot and event, not here -- see Stream::synchronize()
+  /// and Event::wait().
   void wait(Ticket t);
 
-  /// Retired watermark: every ticket <= this has executed (non-blocking;
-  /// ticket 0 is always retired). Lock-free, so streams can prune their
-  /// bookkeeping on every submit for free.
+  /// Non-blocking wait(): execute the ready queued commands up to `t` on
+  /// the calling thread, but return at once instead of sleeping (paused,
+  /// or another thread mid-command). An already-retired `t` takes no lock.
+  void poll(Ticket t);
+
+  /// Retired watermark: every ticket <= this has executed (a pure read
+  /// that never runs a command; ticket 0 is always retired). Lock-free, so
+  /// streams can prune their bookkeeping on every submit for free.
   Ticket retired() const { return completed_.load(std::memory_order_acquire); }
 
-  /// Hold the executor between commands (in-flight work finishes). Lets
-  /// tests and tools observe queued state deterministically.
+  /// Hold queued commands: no thread starts one until resume() (a command
+  /// already running finishes). Lets tests and tools observe queued state
+  /// deterministically.
   void pause();
   void resume();
 
@@ -211,9 +210,11 @@ class Scheduler {
     Ticket ticket = 0;
   };
 
-  void loop();
+  /// The body of wait() and poll(): run ready commands up to `t` on the
+  /// calling thread; `block` says whether to sleep when none is ready.
+  void advance(Ticket t, bool block);
   /// Is the queue's front command next in ticket order and allowed to run
-  /// (mutex held)? A reserved ticket ahead of it holds it back.
+  /// (mutex held)? A command mid-run on another thread holds it back.
   bool front_ready() const;
   /// Run one command on the calling thread and publish its completion:
   /// modeled pricing, completed_, event, error slot. Called with the lock
@@ -232,15 +233,13 @@ class Scheduler {
   std::shared_ptr<void> liveness_ = std::make_shared<int>(0);
 
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< wakes the executor
-  std::condition_variable done_cv_;  ///< wakes waiters and run() callers
+  std::condition_variable done_cv_;  ///< wakes blocked waiters
   std::deque<Node> queue_;
   Ticket next_ticket_ = 1;
   /// Every ticket <= this has executed. Written under mutex_, read
   /// lock-free by retired().
   std::atomic<Ticket> completed_{0};
   bool paused_ = false;
-  bool stopping_ = false;
 
   // Modeled timeline (all in modeled microseconds at fmax_mhz_).
   std::vector<double> copy_free_us_;  ///< per staging channel
@@ -259,8 +258,6 @@ class Scheduler {
   static constexpr std::size_t kFinishWindow = 16384;
   std::unordered_map<Ticket, double> finish_us_;
   std::deque<Ticket> finish_order_;
-
-  std::thread thread_;  ///< last member: joins before state tears down
 };
 
 }  // namespace simt::runtime

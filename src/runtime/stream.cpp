@@ -61,16 +61,6 @@ void Stream::prune_locked() const {
   }
 }
 
-void Stream::run_command(Scheduler::Command cmd) {
-  std::unique_lock<std::mutex> lock(submit_mutex_);
-  std::vector<Ticket> deps = next_deps_locked({});
-  cmd.error_slot = error_;
-  sched_->run(std::move(cmd), std::move(deps), [&](Ticket t) {
-    last_ = t;      // later commands on this stream order behind it
-    lock.unlock();  // ... but may enqueue while it runs
-  });
-}
-
 Event Stream::submit_op(StreamOp op) {
   {
     std::lock_guard<std::mutex> lock(submit_mutex_);
@@ -264,6 +254,12 @@ void Stream::end_capture() {
 }
 
 std::size_t Stream::pending() const {
+  Ticket target;
+  {
+    std::lock_guard<std::mutex> lock(submit_mutex_);
+    target = last_;
+  }
+  sched_->poll(target);  // outside the lock: submitters keep going
   std::lock_guard<std::mutex> lock(submit_mutex_);
   prune_locked();
   return live_.size();

@@ -1,16 +1,18 @@
-// Stream: an in-order command queue over a Device, executed asynchronously
-// by the device's Scheduler.
+// Stream: an in-order command queue over a Device, executed by the
+// device's Scheduler.
 //
-// Commands (copy-in, launch, copy-out) start executing in the background as
-// soon as they are enqueued -- the cudaMemcpyAsync / kernel<<<>>> /
-// cudaStreamSynchronize shape -- and synchronize() is a join, not the
-// executor. A device can have any number of streams (Device::stream() is
-// the default, Device::create_stream() adds more); each stream is in-order
-// with itself, and streams are unordered against each other except through
-// wait(event), which makes this stream's later commands depend on another
-// stream's launch. Copies are priced on the staging DMA engine and launches
-// on the compute array in the scheduler's modeled timeline, so overlapping
-// streams report the double-buffered staging gain (Scheduler::timeline()).
+// Enqueueing a command (copy-in, launch, copy-out) only queues it -- the
+// cudaMemcpyAsync / kernel<<<>>> / cudaStreamSynchronize shape -- and the
+// queued commands run on the thread that needs them: synchronize(),
+// Event::wait() and the polls (pending(), Event::done()) execute the
+// ready commands up to their ticket. A device can have any number of
+// streams (Device::stream() is the default, Device::create_stream() adds
+// more); each stream is in-order with itself, and streams are unordered
+// against each other except through wait(event), which makes this stream's
+// later commands depend on another stream's launch. Copies are priced on
+// the staging DMA engine and launches on the compute array in the
+// scheduler's modeled timeline, so overlapping streams report the
+// double-buffered staging gain (Scheduler::timeline()).
 //
 // Submission is host-thread-safe: the stream's command bookkeeping is
 // guarded by a mutex, so any number of host worker threads can enqueue on
@@ -89,7 +91,9 @@ class Stream {
 
   /// Enqueue device -> host copy into caller storage, filled by the time
   /// synchronize() returns; `out` must stay alive until then (for a
-  /// captured copy, for as long as the graph replays).
+  /// captured copy, for as long as the graph replays). A copy nobody
+  /// waits for runs when the device is destroyed, so unless the stream is
+  /// synchronized first, `out` must outlive the Device.
   template <typename T>
   Stream& copy_out(const Buffer<T>& src, std::span<T> out) {
     src.ensure_current();
@@ -146,9 +150,10 @@ class Stream {
     return capture_ != nullptr;
   }
 
-  /// Commands enqueued on this stream the scheduler has not executed yet.
-  /// (A synchronous graph replay, GraphExec::run, has executed by the
-  /// time it returns and never counts.)
+  /// Commands enqueued on this stream the scheduler has not executed yet,
+  /// after running the ready ones on the calling thread (a non-blocking
+  /// poll; see Scheduler::poll). A synchronous graph replay,
+  /// GraphExec::run, has executed by the time it returns and never counts.
   std::size_t pending() const;
 
   /// Join: block until every command enqueued on this stream has executed.
@@ -169,8 +174,8 @@ class Stream {
   unsigned channel() const { return channel_; }
 
  private:
-  friend class GraphExec;  ///< replays submit through submit/run_command
-  friend class StreamTestPeer;  ///< white-box access for the graph tests
+  friend class GraphExec;  ///< replays submit through submit()
+  friend class StreamTestPeer;  ///< white-box access for the tests
 
   /// The one sink every command goes through: capture mode records the op
   /// as a graph node (returning a captured-event handle for launches and
@@ -178,11 +183,6 @@ class Stream {
   /// submits. Keeping both modes behind one builder is what guarantees a
   /// captured pipeline is the pipeline that would have executed.
   Event submit_op(StreamOp op);
-  /// Run a prebuilt scheduler command on the calling thread
-  /// (Scheduler::run) with this stream's ordering and error slot: it
-  /// executes behind everything already enqueued on the device, and later
-  /// submissions order behind it.
-  void run_command(Scheduler::Command cmd);
   /// Submit with this stream's ordering dependency and track the ticket.
   Ticket submit(Scheduler::Command cmd, std::vector<Ticket> extra_deps = {});
   /// This stream's ordering dependency for its next command, plus
@@ -212,8 +212,8 @@ class Stream {
   /// bounded.
   mutable std::deque<Ticket> live_;
   /// First fault among this stream's commands (shared with the scheduler,
-  /// which fills it from the executor thread under the slot's own mutex);
-  /// consumed by synchronize().
+  /// which fills it from the thread that ran the command, under the
+  /// slot's own mutex); consumed by synchronize().
   std::shared_ptr<StreamErrorSlot> error_ =
       std::make_shared<StreamErrorSlot>();
 };

@@ -1,8 +1,8 @@
 // Tests for the asynchronous execution engine: the device scheduler and its
-// modeled copy/exec timeline, waiters that execute their own queued
-// commands, multi-stream execution with cross-stream event waits, Event
-// hardening, the multicore shard-map staging path,
-// grid-split edge cases on every backend, and MemoryPool alignment.
+// modeled copy/exec timeline, commands that run on the thread that waits
+// or polls for them, multi-stream execution with cross-stream event waits,
+// Event hardening, the multicore shard-map staging path, grid-split edge
+// cases on every backend, and MemoryPool alignment.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +22,17 @@
 #include "runtime/stream.hpp"
 
 namespace simt::runtime {
+
+/// White-box peer: submits a prebuilt scheduler command with a stream's
+/// ordering and error slot, so a test can see which thread runs a
+/// stream's commands.
+class StreamTestPeer {
+ public:
+  static Ticket submit(Stream& s, Scheduler::Command cmd) {
+    return s.submit(std::move(cmd));
+  }
+};
+
 namespace {
 
 core::CoreConfig small_cfg(unsigned threads = 64, unsigned mem_words = 2048) {
@@ -44,7 +55,7 @@ std::string affine_kernel(std::uint32_t in_base, std::uint32_t out_base) {
 
 // ---- scheduler basics ------------------------------------------------------
 
-TEST(Scheduler, CommandsExecuteInBackgroundAndSynchronizeJoins) {
+TEST(Scheduler, EventWaitRunsUpToItsTicketAndSynchronizeRunsTheRest) {
   Device dev(DeviceDescriptor::simt_core(small_cfg()));
   auto in = dev.alloc<std::uint32_t>(64);
   auto out = dev.alloc<std::uint32_t>(64);
@@ -59,10 +70,16 @@ TEST(Scheduler, CommandsExecuteInBackgroundAndSynchronizeJoins) {
   Event event = stream.launch(mod.kernel(), 64);
   stream.copy_out(out, std::span<std::uint32_t>(result));
 
-  // The event resolves without synchronize(): wait() joins just it.
+  // Submission only queues: nothing has run yet.
+  EXPECT_EQ(dev.scheduler().retired(), 0u);
+  // The event resolves without synchronize(): wait() runs the copy-in and
+  // the launch, and leaves the copy-out queued behind its ticket.
   event.wait();
   EXPECT_TRUE(event.done());
+  EXPECT_EQ(dev.scheduler().retired(), 2u);
+  EXPECT_EQ(result[0], 0u);
   stream.synchronize();
+  EXPECT_EQ(dev.scheduler().retired(), 3u);
   EXPECT_EQ(stream.pending(), 0u);
   for (unsigned i = 0; i < 64; ++i) {
     EXPECT_EQ(result[i], 3 * i + 7) << i;
@@ -178,7 +195,8 @@ TEST(WaiterExecution, PausedSchedulerHoldsABlockedWaiter) {
     event.wait();
     returned = true;
   });
-  // The waiter blocks; a pause holds it exactly like the executor.
+  // The waiter blocks: a pause holds it even though it would run the
+  // commands itself.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(returned.load());
   EXPECT_FALSE(event.done());
@@ -194,89 +212,218 @@ TEST(WaiterExecution, PausedSchedulerHoldsABlockedWaiter) {
   }
 }
 
+/// The trace's execution order must be 0..n-1.
+void expect_ticket_order(const ExecTrace& trace, unsigned n) {
+  std::vector<unsigned> want(n);
+  std::iota(want.begin(), want.end(), 0u);
+  EXPECT_EQ(trace.order, want);
+}
+
+/// Every traced command must have run on thread `id`.
+void expect_all_ran_on(const ExecTrace& trace, std::thread::id id) {
+  for (std::size_t i = 0; i < trace.who.size(); ++i) {
+    EXPECT_EQ(trace.who[i], id) << "command " << trace.order[i];
+  }
+}
+
 TEST(WaiterExecution, WaiterRunsCommandsInTicketOrderWithTheSameTimeline) {
   constexpr unsigned kCommands = 48;
-  // Reference: the executor alone drains the sequence (nobody waits; the
-  // retired watermark is polled instead).
+  // Reference: a non-blocking poll on an idle, unpaused scheduler runs the
+  // whole sequence on this thread.
   TimelineStats reference;
   {
     Device dev(DeviceDescriptor::simt_core(small_cfg()));
     ExecTrace trace;
     const Ticket last = submit_traced(dev.scheduler(), trace, kCommands);
-    while (dev.scheduler().retired() < last) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
+    EXPECT_EQ(dev.scheduler().retired(), 0u) << "submit() only queues";
+    dev.scheduler().poll(last);
+    EXPECT_EQ(dev.scheduler().retired(), last);
     reference = dev.scheduler().timeline();
-    std::vector<unsigned> want(kCommands);
-    std::iota(want.begin(), want.end(), 0u);
-    EXPECT_EQ(trace.order, want);
+    expect_ticket_order(trace, kCommands);
+    expect_all_ran_on(trace, std::this_thread::get_id());
   }
 
-  // Queue the sequence on a paused scheduler, then resume and wait on the
-  // last ticket from this thread: the waiter takes the ready front itself.
-  // Which thread wins each command is a race with the executor, so retry
-  // until this thread has run at least one; every trial must keep ticket
-  // order and price the identical timeline.
-  unsigned ran_here = 0;
-  for (int trial = 0; trial < 20 && ran_here == 0; ++trial) {
-    Device dev(DeviceDescriptor::simt_core(small_cfg()));
-    ExecTrace trace;
-    dev.scheduler().pause();
-    const Ticket last = submit_traced(dev.scheduler(), trace, kCommands);
-    dev.scheduler().resume();
+  // The same sequence queued on a paused scheduler: a poll runs nothing,
+  // and a wait after resume() runs every command on the waiting thread,
+  // in ticket order, pricing the identical timeline.
+  Device dev(DeviceDescriptor::simt_core(small_cfg()));
+  ExecTrace trace;
+  dev.scheduler().pause();
+  const Ticket last = submit_traced(dev.scheduler(), trace, kCommands);
+  dev.scheduler().poll(last);
+  EXPECT_EQ(dev.scheduler().retired(), 0u) << "a poll ran a paused command";
+  dev.scheduler().resume();
+  std::thread::id waiter_id;
+  std::thread waiter([&] {
+    waiter_id = std::this_thread::get_id();
     dev.scheduler().wait(last);
-
-    std::vector<unsigned> want(kCommands);
-    std::iota(want.begin(), want.end(), 0u);
-    ASSERT_EQ(trace.order, want) << "trial " << trial;
-    expect_timeline_eq(dev.scheduler().timeline(), reference);
-    // Only this thread and the executor ever run commands.
-    std::thread::id other;
-    for (const auto& id : trace.who) {
-      if (id == std::this_thread::get_id()) {
-        ++ran_here;
-      } else if (other == std::thread::id()) {
-        other = id;
-      } else {
-        EXPECT_EQ(id, other) << "trial " << trial;
-      }
-    }
-  }
-  EXPECT_GT(ran_here, 0u) << "the waiter never executed a queued command";
+  });
+  waiter.join();
+  expect_ticket_order(trace, kCommands);
+  expect_all_ran_on(trace, waiter_id);
+  expect_timeline_eq(dev.scheduler().timeline(), reference);
 }
 
 TEST(WaiterExecution, FaultRunByAWaiterSurfacesAndTheDeviceStaysUsable) {
-  bool ran_here = false;
-  for (int trial = 0; trial < 20 && !ran_here; ++trial) {
-    Device dev(DeviceDescriptor::simt_core(small_cfg(64, 256)));
-    Module& bad = dev.load_module(
-        "movi %r0, 9999\n"
-        "sts [%r0], %r0\n"
-        "exit\n");
-    Module& ok = dev.load_module("movi %r1, 5\nexit\n");
+  Device dev(DeviceDescriptor::simt_core(small_cfg(64, 256)));
+  Module& bad = dev.load_module(
+      "movi %r0, 9999\n"
+      "sts [%r0], %r0\n"
+      "exit\n");
+  Module& ok = dev.load_module("movi %r1, 5\nexit\n");
 
-    // A marker queued just ahead of the faulting launch: a waiter that
-    // ran the marker runs every ticket up to the one it waits for, since
-    // it keeps the scheduler lock from one completion to the next pop.
-    ExecTrace trace;
+  // A traced command queued just ahead of the faulting launch: the waiter
+  // runs both, since nothing else ever runs a queued command.
+  ExecTrace trace;
+  dev.scheduler().submit(traced_command(trace, 1));
+  Event failed = dev.stream().launch(bad.kernel(), 16);
+  EXPECT_THROW(failed.wait(), Error);
+  expect_all_ran_on(trace, std::this_thread::get_id());
+  EXPECT_EQ(trace.who.size(), 1u);
+
+  // The fault landed on the event and on the stream's error slot.
+  EXPECT_TRUE(failed.failed());
+  EXPECT_FALSE(failed.done());
+  EXPECT_THROW(dev.stream().synchronize(), Error);
+  // The device stays usable: the sticky error was consumed.
+  Event fine = dev.stream().launch(ok.kernel(), 16);
+  fine.wait();
+  EXPECT_TRUE(fine.done());
+  EXPECT_NO_THROW(dev.stream().synchronize());
+}
+
+// ---- commands run on the thread that needs them ----------------------------
+
+TEST(CommandThread, SynchronizeRunsCommandsAnotherThreadLaunched) {
+  constexpr unsigned kCommands = 8;
+  const auto launch_all = [](Device& dev, ExecTrace& trace) {
+    for (unsigned i = 0; i < kCommands; ++i) {
+      StreamTestPeer::submit(dev.stream(), traced_command(trace, i));
+    }
+  };
+
+  // Reference: one thread launches and synchronizes.
+  Device ref(DeviceDescriptor::simt_core(small_cfg()));
+  ExecTrace ref_trace;
+  launch_all(ref, ref_trace);
+  ref.stream().synchronize();
+  expect_ticket_order(ref_trace, kCommands);
+
+  // A launcher thread that never waits leaves all 8 queued; a second
+  // thread's synchronize() runs every one of them.
+  Device dev(DeviceDescriptor::simt_core(small_cfg()));
+  ExecTrace trace;
+  std::thread launcher([&] { launch_all(dev, trace); });
+  launcher.join();
+  EXPECT_EQ(dev.scheduler().retired(), 0u);
+  EXPECT_TRUE(trace.who.empty());
+  std::thread::id syncer_id;
+  std::thread syncer([&] {
+    syncer_id = std::this_thread::get_id();
+    dev.stream().synchronize();
+  });
+  syncer.join();
+  ASSERT_EQ(trace.who.size(), kCommands);
+  expect_ticket_order(trace, kCommands);
+  expect_all_ran_on(trace, syncer_id);
+  expect_timeline_eq(dev.scheduler().timeline(), ref.scheduler().timeline());
+}
+
+TEST(CommandThread, FirstDonePollRunsTheLaunch) {
+  Device dev(DeviceDescriptor::simt_core(small_cfg()));
+  Module& mod = dev.load_module("movi %r1, 1\nexit\n");
+  Event event = dev.stream().launch(mod.kernel(), 16);
+  ASSERT_TRUE(event.done());
+  EXPECT_TRUE(event.stats().exited);
+  EXPECT_GT(event.stats().perf.cycles, 0u);
+  EXPECT_EQ(dev.stream().pending(), 0u);
+}
+
+TEST(CommandThread, DestroyingAPausedDeviceRunsItsQueue) {
+  std::vector<std::uint32_t> result(64, 0);
+  Event first, marker;
+  {
+    Device dev(DeviceDescriptor::simt_core(small_cfg()));
+    auto in = dev.alloc<std::uint32_t>(64);
+    auto out = dev.alloc<std::uint32_t>(64);
+    Module& mod = dev.load_module(affine_kernel(in.word_base(),
+                                                out.word_base()));
+    std::vector<std::uint32_t> host(64);
+    std::iota(host.begin(), host.end(), 0u);
+
     dev.scheduler().pause();
-    dev.scheduler().submit(traced_command(trace, 1));
-    Event failed = dev.stream().launch(bad.kernel(), 16);
-    dev.scheduler().resume();
-    EXPECT_THROW(failed.wait(), Error);
-    ran_here = trace.who.at(0) == std::this_thread::get_id();
-
-    // The fault landed on the event and on the stream's error slot.
-    EXPECT_TRUE(failed.failed());
-    EXPECT_FALSE(failed.done());
-    EXPECT_THROW(dev.stream().synchronize(), Error);
-    // The device stays usable: the sticky error was consumed.
-    Event fine = dev.stream().launch(ok.kernel(), 16);
-    fine.wait();
-    EXPECT_TRUE(fine.done());
-    EXPECT_NO_THROW(dev.stream().synchronize());
+    auto& stream = dev.stream();
+    stream.copy_in(in, std::span<const std::uint32_t>(host));
+    first = stream.launch(mod.kernel(), 64);
+    stream.copy_out(out, std::span<std::uint32_t>(result));
+    marker = stream.record();
+    EXPECT_FALSE(first.done());
+    EXPECT_EQ(result[0], 0u);
+  }  // no waiter: the destructor runs the queue, pause or not
+  EXPECT_TRUE(first.done());
+  EXPECT_TRUE(marker.done());
+  EXPECT_TRUE(first.stats().exited);
+  for (unsigned i = 0; i < 64; ++i) {
+    EXPECT_EQ(result[i], 3 * i + 7) << i;
   }
-  EXPECT_TRUE(ran_here) << "the waiter never executed the faulting launch";
+}
+
+TEST(CommandThread, SynchronizedCopyOutMayBeFreedBeforeTheDevice) {
+  // The host vector is declared after the device, so it is freed first.
+  // Once the stream is synchronized the destructor has nothing left to
+  // write into it (a late write shows up under AddressSanitizer).
+  Device dev(DeviceDescriptor::simt_core(small_cfg()));
+  auto in = dev.alloc<std::uint32_t>(64);
+  auto out = dev.alloc<std::uint32_t>(64);
+  Module& mod = dev.load_module(affine_kernel(in.word_base(),
+                                              out.word_base()));
+  {
+    std::vector<std::uint32_t> host(64);
+    std::iota(host.begin(), host.end(), 0u);
+    std::vector<std::uint32_t> result(64, 0);
+    auto& stream = dev.stream();
+    stream.copy_in(in, std::span<const std::uint32_t>(host));
+    stream.launch(mod.kernel(), 64);
+    stream.copy_out(out, std::span<std::uint32_t>(result));
+    stream.synchronize();
+    for (unsigned i = 0; i < 64; ++i) {
+      EXPECT_EQ(result[i], 3 * i + 7) << i;
+    }
+  }
+  EXPECT_EQ(dev.stream().pending(), 0u);
+}
+
+TEST(CommandThread, PollWhileAnotherThreadIsMidCommandDoesNotBlock) {
+  Device dev(DeviceDescriptor::simt_core(small_cfg()));
+  Module& mod = dev.load_module("movi %r1, 1\nexit\n");
+
+  // A command that holds its thread until released.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  Scheduler::Command hold;
+  hold.run = [&] {
+    started = true;
+    while (!release.load()) {
+      std::this_thread::yield();
+    }
+    return std::uint64_t{1};
+  };
+  const Ticket held = dev.scheduler().submit(std::move(hold));
+  std::thread runner([&] { dev.scheduler().wait(held); });
+  while (!started.load()) {
+    std::this_thread::yield();
+  }
+
+  // The launch queues behind the held command. Had the polls blocked,
+  // this thread would never reach the release below.
+  Event event = dev.stream().launch(mod.kernel(), 16);
+  EXPECT_FALSE(event.done());
+  EXPECT_FALSE(event.resolved());
+  EXPECT_EQ(dev.stream().pending(), 1u);
+  release = true;
+  runner.join();
+  EXPECT_TRUE(event.done());
+  EXPECT_EQ(dev.stream().pending(), 0u);
 }
 
 // ---- event hardening -------------------------------------------------------

@@ -576,7 +576,8 @@ TEST(ClusterFaults, VerifyHookCatchesCorruptionAndRetries) {
 TEST(ClusterFaults, WatchdogFailsAStalledReplay) {
   cluster::ClusterConfig cfg;
   // Every launch stalls 100ms; the request deadline is 5ms: only the
-  // watchdog can resolve the ticket (the replay is hung on the executor).
+  // watchdog can resolve the ticket (the replay is stalled on the cluster
+  // worker running it).
   cfg.fault_spec = "launch:stall=100ms";
   cfg.default_deadline_us = 5000;
   cfg.max_retries = 0;

@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -758,8 +756,8 @@ std::unique_ptr<ScalePipeline> capture_scale(Device& dev, unsigned n,
 
 TEST(GraphRun, PricesExactlyLikeLaunch) {
   // Two identical devices see the same traffic: eager copies queued on
-  // the default stream, each followed by a replay -- launched onto the
-  // executor on one device, run inline on the other. Outputs, per-replay
+  // the default stream, each followed by a replay -- launched and then
+  // waited on one device, run() on the other. Outputs, per-replay
   // modeled spans, and the whole modeled timeline must match exactly.
   constexpr unsigned kN = 16;
   constexpr unsigned kIters = 8;
@@ -797,10 +795,9 @@ TEST(GraphRun, PricesExactlyLikeLaunch) {
 }
 
 TEST(GraphRun, OrdersBehindQueuedWork) {
-  // A replay (launch -> copy-out, no copy-in of its own) run inline on one
-  // stream while an eager copy-in into its input sits queued on another
-  // stream of the same device, behind a paused executor: run() must wait
-  // for the copy, not overtake it.
+  // A replay (launch -> copy-out, no copy-in of its own) run on one stream
+  // while an eager copy-in into its input sits queued on another stream of
+  // the same device: run() must execute the copy first, not overtake it.
   constexpr unsigned kN = 16;
   Device dev(DeviceDescriptor::simt_core(small_cfg()));
   auto in = dev.alloc<std::uint32_t>(kN);
@@ -816,23 +813,17 @@ TEST(GraphRun, OrdersBehindQueuedWork) {
   auto exec = graph.instantiate();
   auto& replay_stream = dev.create_stream();
 
-  dev.scheduler().pause();
   const std::vector<std::uint32_t> sevens(kN, 7);
   dev.stream().copy_in(in, std::span<const std::uint32_t>(sevens));
-  std::atomic<bool> ran{false};
-  std::thread runner([&] {
-    exec.run(replay_stream).wait();
-    ran = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(ran.load()) << "run() overtook a queued command";
-  dev.scheduler().resume();
-  runner.join();
-  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(dev.scheduler().retired(), 0u) << "the copy-in is queued";
+  const Event replay = exec.run(replay_stream);
+  EXPECT_TRUE(replay.done());
+  EXPECT_EQ(dev.scheduler().retired(), 2u);
   for (unsigned i = 0; i < kN; ++i) {
     EXPECT_EQ(result[i], 14u) << "word " << i;
   }
   EXPECT_EQ(replay_stream.pending(), 0u);
+  EXPECT_EQ(dev.stream().pending(), 0u);
 }
 
 TEST(GraphRun, FaultLandsOnTheEventAndTheStream) {
@@ -861,10 +852,11 @@ TEST(GraphRun, FaultLandsOnTheEventAndTheStream) {
   EXPECT_EQ(dev.fault_injector()->triggers(faults::FaultSite::Replay), 2u);
 }
 
-TEST(GraphRun, InterleavesSafelyWithExecutorReplays) {
-  // One host thread replays inline while another launches onto the
-  // executor, both on one device -- the TSan job's view of the serving
-  // worker sharing a device with eager traffic.
+TEST(GraphRun, InterleavesSafelyWithLaunchedReplays) {
+  // One host thread runs replays while another only launches them, both
+  // on one device: the running thread also executes the launched replays
+  // queued ahead of its own -- the TSan job's view of the serving worker
+  // sharing a device with eager traffic.
   constexpr unsigned kN = 16;
   constexpr unsigned kIters = 48;
   Device dev(DeviceDescriptor::simt_core(small_cfg()));

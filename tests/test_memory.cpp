@@ -58,23 +58,6 @@ TEST(M20k, BlockCountExamples) {
   EXPECT_EQ(m20k_blocks_for(16, 8), 1u);
 }
 
-TEST(M20k, ArrayReadWriteCommit) {
-  M20kArray mem(512, 40);
-  EXPECT_EQ(mem.block_count(), 1u);
-  mem.write(7, 0x123456789ULL);
-  // Read-old-data until the clock edge.
-  EXPECT_EQ(mem.read(7), 0u);
-  mem.commit();
-  EXPECT_EQ(mem.read(7), 0x123456789ULL);
-}
-
-TEST(M20k, ArrayMasksToWidth) {
-  M20kArray mem(64, 20);
-  mem.write(0, 0xFFFFFFFFULL);
-  mem.commit();
-  EXPECT_EQ(mem.read(0), 0xFFFFFULL);  // 20-bit mask
-}
-
 // ---- multiport shared memory ----------------------------------------------
 
 TEST(MultiPort, FourReadPortsSeeSameData) {

@@ -212,13 +212,13 @@ TEST(ParallelStaging, RandomizedInlineMatchesPooled) {
 }
 
 TEST(ParallelStaging, StagingHeavyRoundsCrossTheThresholdAndMatchInline) {
-  // Host dirty ranges of up to 24K words in a 32K-word memory: under
+  // Host dirty ranges of up to 384K words in a 512K-word memory: under
   // conservative staging every core restages them, which puts a launch's
   // first round above the inline threshold, so side b (default threshold)
   // pools those rounds with no override while side a runs all inline.
   Shape heavy;
-  heavy.mem_words = 32 * 1024;
-  heavy.max_dirty = 24 * 1024;
+  heavy.mem_words = 512 * 1024;
+  heavy.max_dirty = 384 * 1024;
   unsigned pooled = 0;
   for (const std::uint64_t seed : {4ull, 5ull}) {
     run_scenario(Side{kAllInline}, Side{}, seed, /*declared_abi=*/false,

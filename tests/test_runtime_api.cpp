@@ -126,7 +126,8 @@ TEST(StreamQueue, CommandsRunInOrderAtSynchronize) {
   std::vector<std::uint32_t> result(64, 0xdeadbeef);
 
   // Hold the scheduler so the queued-but-unexecuted state is observable
-  // deterministically (commands normally start in the background at once).
+  // deterministically (a poll such as pending() or done() would otherwise
+  // run the queued commands).
   dev.scheduler().pause();
   auto& stream = dev.stream();
   stream.copy_in(in, std::span<const std::uint32_t>(host));
